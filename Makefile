@@ -1,10 +1,12 @@
 # Developer entry points. `make check` is the pre-commit gate: it runs
-# exactly what the repo treats as tier-1 (build + tests) plus vet, and
-# `make race` covers the packages with lock-free fast paths.
+# exactly what the repo treats as tier-1 (build + tests) plus vet,
+# `make multicore` reruns the ordering-sensitive packages at GOMAXPROCS
+# 1, 2 and 4, and `make race` covers the packages with lock-free fast
+# paths.
 
 GO ?= go
 
-.PHONY: all build test race bench bench-invoke fuzz-smoke vet check experiments crash-test migrate-test obs-test store-test des-test
+.PHONY: all build test multicore race bench bench-invoke fuzz-smoke vet check experiments crash-test migrate-test obs-test store-test des-test
 
 all: check
 
@@ -13,6 +15,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The transport ordering contract and the rt code that relies on it
+# (park/replay, migration FIFO) at several GOMAXPROCS settings:
+# reorderings that a single core hides show up here.
+multicore:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/rt ./internal/transport
 
 # The fast-path packages (sharded binding cache, lock-slimmed rt,
 # pooled transports) plus the durability layer (checkpoint loop vs
@@ -90,7 +98,7 @@ fuzz-smoke:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race
+check: build vet test multicore race
 
 # The EXPERIMENTS.md harness (full scale; add ARGS=-quick for a fast pass).
 experiments:

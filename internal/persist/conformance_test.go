@@ -211,6 +211,31 @@ func storeConformance(t *testing.T, mk func(t *testing.T) Store) {
 			t.Error("truncated snapshot decoded without error")
 		}
 	})
+	t.Run("WriteAfterClose", func(t *testing.T) {
+		s := mk(t)
+		c, ok := s.(interface{ Close() error })
+		if !ok {
+			t.Skip("backend has no Close")
+		}
+		addr, err := s.Put(sampleOPR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put(sampleOPR()); err == nil {
+			t.Error("Put after Close succeeded")
+		}
+		if bp, ok := s.(BatchPutter); ok {
+			if _, err := bp.PutBatch([]OPR{sampleOPR()}); err == nil {
+				t.Error("PutBatch after Close succeeded")
+			}
+		}
+		if err := s.Delete(addr); err == nil {
+			t.Error("Delete after Close succeeded")
+		}
+	})
 	t.Run("ConcurrentPuts", func(t *testing.T) {
 		s := mk(t)
 		const n = 32

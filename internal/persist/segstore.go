@@ -170,8 +170,12 @@ func NewSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 // Dir returns the backing directory.
 func (s *SegmentStore) Dir() string { return s.dir }
 
-// Close stops the compaction loop and closes the active segment. The
-// store is unusable afterwards.
+// errStoreClosed is the sticky write error a closed SegmentStore
+// returns.
+var errStoreClosed = errors.New("persist: segment store closed")
+
+// Close stops the compaction loop and closes the active segment. Later
+// writes return an error.
 func (s *SegmentStore) Close() error {
 	s.compactMu.Lock() // wait out an in-flight compaction
 	s.stopOnce.Do(func() { close(s.stop) })
@@ -179,6 +183,7 @@ func (s *SegmentStore) Close() error {
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.failLocked(errStoreClosed)
 	if s.active != nil {
 		err := s.active.Close()
 		s.active = nil

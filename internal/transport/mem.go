@@ -17,6 +17,12 @@ import (
 // per-link latency, probabilistic loss, and partitions, and counts
 // per-endpoint traffic so experiments can attribute load.
 //
+// Without faults the fabric keeps the Endpoint FIFO contract: a
+// zero-latency send runs the handler before it returns. Loss drops
+// frames silently. The opt-in SetReorder and SetDuplicate faults break
+// the order on purpose; injected latency delivers each frame from its
+// own timer, so frames sent within one timer tick may also swap.
+//
 // The delivery fast path (no loss, no latency, no partitions) takes no
 // fabric-wide lock: endpoint lookup is a sync.Map read, configuration
 // is read through atomics, and the per-message payload copy comes from

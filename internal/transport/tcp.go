@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +17,8 @@ import (
 // limits with headroom).
 const maxFrame = 32 << 20
 
-// sendQueueDepth bounds the frames queued to one reactor's writer
-// loop; a full queue applies backpressure to senders.
+// sendQueueDepth bounds the frames queued to one destination's writer;
+// a full queue applies backpressure to senders.
 const sendQueueDepth = 256
 
 // writerBatch caps how many queued frames one writev gathers. Batching
@@ -31,32 +30,30 @@ const writerBatch = 64
 // deployments. Each endpoint owns one listener; messages are
 // length-prefixed frames.
 //
-// Outbound traffic is organized as per-destination reactor shards: each
-// destination gets up to Reactors independent connections, each owned
-// by one event loop that drains a bounded queue with writev
-// (net.Buffers) batching — the frame headers and reference-counted
-// payload buffers go to the kernel as one iovec list, so a frame is
-// never copied between the sender and the socket. Sends are sharded
-// round-robin across the reactors, so concurrent senders to one peer
-// do not serialize on a single writer goroutine or socket. Flushing is
-// adaptive: a loop that finds its queue dry writes immediately; under
-// load it coalesces up to writerBatch frames per syscall.
+// Outbound, each destination gets one connection with one writer, so
+// frames reach the socket in SendBuf order and the endpoint keeps the
+// FIFO contract of Endpoint.Send. Frame headers and reference-counted
+// payload buffers go to the kernel as one writev (net.Buffers), so a
+// frame is never copied between the sender and the socket. Flushing is
+// adaptive: a sender that finds the socket free and nothing queued
+// writes on its own goroutine; otherwise the frame joins the queue and
+// the writer coalesces up to writerBatch frames per syscall. A socket
+// that fails retires its writer, counts the frames it held in
+// net/tcp_dropped, and the destination's next Send reports the loss
+// and redials.
 //
-// Inbound, every accepted connection (one per remote reactor) gets its
-// own read loop delivering frames in pooled ref-counted buffers.
+// Inbound, every accepted connection gets its own read loop delivering
+// frames in pooled ref-counted buffers.
 type TCP struct {
 	// ListenHost is the host/IP to bind listeners on. Defaults to
 	// 127.0.0.1, which keeps tests and examples self-contained.
 	ListenHost string
-	// Registry receives transport metrics (net/tcp_dropped: outbound
-	// frames lost when a destination's connection died). Nil discards.
+	// Registry receives transport metrics: net/sent (frames accepted
+	// for delivery), net/tcp_dials (connection attempts) and
+	// net/tcp_dropped (outbound frames lost when a destination's
+	// connection died or the endpoint closed with them queued). Nil
+	// discards.
 	Registry *metrics.Registry
-	// Reactors is the number of parallel connections (and event loops)
-	// per destination. 0 means min(GOMAXPROCS, 8). Frames to one
-	// destination are sharded across reactors and may arrive out of
-	// order relative to each other, which the transport contract
-	// permits.
-	Reactors int
 }
 
 // NewEndpoint starts a listener on an ephemeral port.
@@ -68,13 +65,6 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 	reg := t.Registry
 	if reg == nil {
 		reg = metrics.Nop
-	}
-	reactors := t.Reactors
-	if reactors <= 0 {
-		reactors = runtime.GOMAXPROCS(0)
-		if reactors > 8 {
-			reactors = 8
-		}
 	}
 	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
@@ -89,9 +79,10 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 	ep := &tcpEndpoint{
 		ln:       ln,
 		elem:     elem,
-		nShards:  reactors,
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
+		cSent:    reg.Counter("net/sent"),
+		cDials:   reg.Counter("net/tcp_dials"),
 		cDropped: reg.Counter("net/tcp_dropped"),
 	}
 	go ep.acceptLoop()
@@ -99,9 +90,8 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 }
 
 type tcpEndpoint struct {
-	ln      net.Listener
-	elem    oa.Element
-	nShards int
+	ln   net.Listener
+	elem oa.Element
 
 	handler atomic.Pointer[FrameHandler]
 
@@ -117,6 +107,8 @@ type tcpEndpoint struct {
 	amu      sync.Mutex
 	accepted map[net.Conn]struct{}
 
+	cSent  *metrics.Counter // net/sent: frames accepted for delivery
+	cDials *metrics.Counter // net/tcp_dials: connection attempts
 	// cDropped counts outbound frames lost because a destination's
 	// connection died with frames queued or mid-batch (net/tcp_dropped).
 	cDropped *metrics.Counter
@@ -125,16 +117,14 @@ type tcpEndpoint struct {
 	once sync.Once
 }
 
-// tcpConn is the send-side state for one destination: the reactor
-// shards (each one connection generation + event loop) plus the sticky
-// drop count from failed generations.
+// tcpConn is the send-side state for one destination: its current
+// writer plus the sticky drop count from failed ones.
 type tcpConn struct {
 	hostport string
-	rr       atomic.Uint32 // round-robin shard choice
 	dropped  atomic.Uint64 // frames lost when a writer died; surfaced on the next Send
 
-	mu     sync.Mutex
-	shards []*tcpWriter // nil slots: not yet dialed (or fell over)
+	mu sync.Mutex
+	w  *tcpWriter // nil: not yet dialed (or fell over)
 }
 
 // noteDropped records n lost frames against the destination: they are
@@ -148,50 +138,22 @@ func (e *tcpEndpoint) noteDropped(tc *tcpConn, n uint64) {
 	tc.dropped.Add(n)
 }
 
-// takeDropped consumes the pending drop report.
-func (tc *tcpConn) takeDropped() uint64 {
-	return tc.dropped.Swap(0)
-}
-
-// tcpWriter is one reactor shard generation: a socket, a bounded frame
-// queue, and the event loop that drains it.
+// tcpWriter is one connection to a destination: a socket, a bounded
+// frame queue, and the writer goroutine that drains it.
 type tcpWriter struct {
-	shard int
-	cmu   sync.Mutex // guards conn (replaced on in-loop redial)
-	conn  net.Conn
-	// wmu serializes actual socket writes between the event loop and
-	// SendBuf's direct-write fast path (see SendBuf).
+	conn net.Conn
+	// wmu serializes socket writes. Frames leave the queue only under
+	// wmu, and wmu is held through the write that carries them, so a
+	// goroutine holding wmu that sees an empty queue knows every frame
+	// queued before it is already in the socket.
 	wmu  sync.Mutex
 	ch   chan *buf.Buffer
-	dead chan struct{} // closed when this generation fails
+	wake chan struct{} // capacity 1: "the queue may be non-empty"
+	dead chan struct{} // closed when this connection fails
 	once sync.Once
 }
 
 func (w *tcpWriter) kill() { w.once.Do(func() { close(w.dead) }) }
-
-// swapConn replaces the socket after a successful redial.
-func (w *tcpWriter) swapConn(conn net.Conn) {
-	w.cmu.Lock()
-	old := w.conn
-	w.conn = conn
-	w.cmu.Unlock()
-	old.Close()
-}
-
-// closeConn closes the current socket (whichever generation holds it).
-func (w *tcpWriter) closeConn() {
-	w.cmu.Lock()
-	conn := w.conn
-	w.cmu.Unlock()
-	conn.Close()
-}
-
-func (w *tcpWriter) current() net.Conn {
-	w.cmu.Lock()
-	conn := w.conn
-	w.cmu.Unlock()
-	return conn
-}
 
 func (e *tcpEndpoint) Element() oa.Element { return e.elem }
 
@@ -202,12 +164,6 @@ func (e *tcpEndpoint) SetHandler(h Handler) {
 
 func (e *tcpEndpoint) SetFrameHandler(h FrameHandler) {
 	e.handler.Store(&h)
-}
-
-func (e *tcpEndpoint) handle(fb *buf.Buffer) {
-	if h := e.handler.Load(); h != nil {
-		(*h)(fb, fb.B, false)
-	}
 }
 
 func (e *tcpEndpoint) acceptLoop() {
@@ -340,11 +296,10 @@ func (e *tcpEndpoint) Send(to oa.Element, data []byte) error {
 	return err
 }
 
-// SendBuf queues one frame (the whole of b.B) to a reactor shard of
-// the destination, dialing synchronously when that shard has no live
-// connection (so an unreachable destination is still reported to the
-// caller). The shard's event loop holds its own reference on b until
-// the bytes reach the kernel.
+// SendBuf hands one frame (the whole of b.B) to the destination's
+// connection, dialing synchronously when there is no live one (so an
+// unreachable destination is still reported to the caller). A queued
+// frame holds its own reference on b until the bytes reach the kernel.
 func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	if to.Type != oa.TypeIP {
 		return ErrUnreachable
@@ -358,125 +313,134 @@ func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	default:
 	}
 	tc := e.connFor(to)
-	if n := tc.takeDropped(); n > 0 {
+	if n := tc.dropped.Swap(0); n > 0 {
 		// A previous writer to this destination died with frames in
 		// hand. Surfacing the loss here (instead of dropping silently)
 		// lets the rt layer treat the destination as unavailable and
 		// retransmit.
 		return fmt.Errorf("%w: %d frame(s) to %s lost on connection failure", ErrUnreachable, n, tc.hostport)
 	}
-	shard := int(tc.rr.Add(1)) % e.nShards
-	for attempt := 0; attempt < 2; attempt++ {
-		w, err := e.writerFor(tc, shard)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrUnreachable, err)
-		}
-		// Adaptive flush, idle half: when nothing is queued and the
-		// socket is free, write the frame right here on the sender's
-		// goroutine — the syscall happens immediately instead of after
-		// two scheduler handoffs (enqueue, writer wake-up). Under load
-		// the TryLock fails (the event loop is mid-writev) or the queue
-		// is non-empty, and the frame joins the queue to be coalesced
-		// into the loop's next batch. Frames sent directly may overtake
-		// queued frames of other senders, which the transport contract
-		// already permits (reactor shards reorder anyway).
-		if len(w.ch) == 0 && w.wmu.TryLock() {
+	w, err := e.writerFor(tc)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrUnreachable, err)
+	}
+	// Adaptive flush, idle half: with the socket free and nothing
+	// queued, every earlier frame is already in the socket, so writing
+	// here on the sender's goroutine keeps order and skips two
+	// scheduler handoffs. Otherwise the frame joins the queue behind
+	// the ones it must follow.
+	if w.wmu.TryLock() {
+		if len(w.ch) == 0 {
 			err := w.writeOne(b)
 			w.wmu.Unlock()
 			if err != nil {
 				// The socket died under us mid-frame; the stream may be
-				// truncated, so this generation is done. The frame is
-				// lost and counted, but unlike a queued drop the loss
-				// is reported to THIS send directly, so there is no
-				// deferred next-Send report to file.
+				// truncated, so this connection is done. The loss is
+				// counted and reported to THIS send directly.
 				e.cDropped.Add(1)
 				e.failWriter(tc, w)
 				return fmt.Errorf("%w: %v", ErrUnreachable, err)
 			}
+			e.cSent.Inc()
 			return nil
 		}
-		ref := b.Retain()
-		select {
-		case w.ch <- ref:
-			return nil
-		case <-w.dead:
-			// This generation failed while we held it; dial a fresh one.
-			ref.Release()
-			continue
-		case <-e.done:
-			ref.Release()
-			return ErrClosed
-		}
+		w.wmu.Unlock()
 	}
-	return ErrUnreachable
+	ref := b.Retain()
+	select {
+	case w.ch <- ref:
+	case <-w.dead:
+		ref.Release()
+		return fmt.Errorf("%w: connection to %s failed", ErrUnreachable, tc.hostport)
+	}
+	select {
+	case w.wake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+	select {
+	case <-w.dead:
+		// The connection failed as the frame went in, perhaps after
+		// failWriter drained the queue: drain again so the frame is
+		// counted and reported, not stranded.
+		e.noteDropped(tc, w.drain())
+	default:
+	}
+	e.cSent.Inc()
+	return nil
 }
 
-// writeOne writes a single length-prefixed frame to the current socket;
-// the caller holds wmu.
+// writeOne writes a single length-prefixed frame; the caller holds wmu.
 func (w *tcpWriter) writeOne(b *buf.Buffer) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b.B)))
 	iov := net.Buffers{hdr[:], b.B}
-	_, err := iov.WriteTo(w.current())
+	_, err := iov.WriteTo(w.conn)
 	return err
 }
 
-// writerFor returns the live writer of one reactor shard, dialing a new
-// connection (and starting its event loop) if none exists.
-func (e *tcpEndpoint) writerFor(tc *tcpConn, shard int) (*tcpWriter, error) {
+// writerFor returns the destination's live writer, dialing a new
+// connection (and starting its writer) if none exists.
+func (e *tcpEndpoint) writerFor(tc *tcpConn) (*tcpWriter, error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if tc.shards == nil {
-		tc.shards = make([]*tcpWriter, e.nShards)
+	if tc.w != nil {
+		return tc.w, nil
 	}
-	if w := tc.shards[shard]; w != nil {
-		select {
-		case <-w.dead:
-			tc.shards[shard] = nil // fell over since the last send
-		default:
-			return w, nil
-		}
+	select {
+	case <-e.done:
+		return nil, ErrClosed // Close has retired, or will skip, this destination
+	default:
 	}
+	e.cDials.Inc()
 	conn, err := net.Dial("tcp", tc.hostport)
 	if err != nil {
 		return nil, err
 	}
 	w := &tcpWriter{
-		shard: shard,
-		conn:  conn,
-		ch:    make(chan *buf.Buffer, sendQueueDepth),
-		dead:  make(chan struct{}),
+		conn: conn,
+		ch:   make(chan *buf.Buffer, sendQueueDepth),
+		wake: make(chan struct{}, 1),
+		dead: make(chan struct{}),
 	}
-	tc.shards[shard] = w
+	tc.w = w
 	go e.writeLoop(tc, w)
 	return w, nil
 }
 
-// writeLoop is one reactor shard's event loop: it gathers whatever is
-// queued (up to writerBatch frames), hands the length headers and
-// payload buffers to the kernel as one writev, and releases the frame
-// references. The gather is adaptive — an empty queue means the frame
-// in hand goes out immediately; a busy queue means one syscall carries
-// many frames. On a write error the loop redials once and keeps
-// draining (frames caught mid-failure are counted and surfaced, never
-// silently lost) before declaring the generation dead.
+// writeLoop drains one connection's queue. On each wake-up it takes
+// whatever is queued (up to writerBatch frames) under wmu, hands the
+// length headers and payload buffers to the kernel as one writev while
+// still holding wmu, and repeats until the queue is dry. The gather is
+// adaptive — a lone frame goes out immediately; a busy queue means one
+// syscall carries many frames. A write error retires the connection.
 func (e *tcpEndpoint) writeLoop(tc *tcpConn, w *tcpWriter) {
 	var hdrs [writerBatch][4]byte
 	batch := make([]*buf.Buffer, 0, writerBatch)
 	iov := make(net.Buffers, 0, 2*writerBatch)
-	redialed := false
 	for {
 		select {
-		case fb := <-w.ch:
-			batch = append(batch[:0], fb)
+		case <-w.wake:
+		case <-w.dead:
+			// A failed direct write or Close retired this connection;
+			// drain what is still queued so the loss is counted.
+			e.failWriter(tc, w)
+			return
+		}
+		for {
+			w.wmu.Lock()
+			batch = batch[:0]
 		gather:
 			for len(batch) < writerBatch {
 				select {
-				case fb2 := <-w.ch:
-					batch = append(batch, fb2)
+				case fb := <-w.ch:
+					batch = append(batch, fb)
 				default:
 					break gather
 				}
+			}
+			if len(batch) == 0 {
+				w.wmu.Unlock()
+				break
 			}
 			iov = iov[:0]
 			for i, b := range batch {
@@ -484,64 +448,51 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn, w *tcpWriter) {
 				iov = append(iov, hdrs[i][:], b.B)
 			}
 			v := iov // WriteTo consumes its receiver; keep iov's backing array
-			w.wmu.Lock()
-			_, err := v.WriteTo(w.current())
+			_, err := v.WriteTo(w.conn)
 			w.wmu.Unlock()
 			for _, b := range batch {
 				b.Release()
 			}
 			if err != nil {
-				// The batch's frames were consumed and may not have
-				// reached the peer (the socket died mid-writev): account
-				// them as dropped — TCP gives no delivery receipt, and an
-				// undercounted loss is a silent one.
+				// The batch's frames may not have reached the peer (the
+				// socket died mid-writev): account them as dropped — TCP
+				// gives no delivery receipt, and an undercounted loss is
+				// a silent one.
 				e.noteDropped(tc, uint64(len(batch)))
-				if !redialed {
-					redialed = true
-					if conn, derr := net.Dial("tcp", tc.hostport); derr == nil {
-						w.swapConn(conn)
-						continue // keep draining on the fresh socket
-					}
-				}
 				e.failWriter(tc, w)
 				return
 			}
-			redialed = false
-		case <-w.dead:
-			// Another goroutine (a failed direct write) retired this
-			// generation; drain what was queued so the loss is counted.
-			e.failWriter(tc, w)
-			return
-		case <-e.done:
-			w.closeConn()
-			w.kill()
-			return
 		}
 	}
 }
 
-// failWriter retires a dead shard generation: unhooks it so the next
-// Send redials, closes the socket, and drains queued frames. The
-// drained frames cannot be delivered, but the loss is NOT silent: each
-// is counted in net/tcp_dropped and reported to the destination's next
-// Send as an error, so callers learn the channel lost traffic.
+// failWriter retires a connection that failed or whose endpoint
+// closed: unhooks it so the next Send redials, closes the socket, and
+// drains queued frames. The drained frames cannot be delivered, but
+// the loss is NOT silent: each is counted in net/tcp_dropped and
+// reported to the destination's next Send as an error, so callers
+// learn the channel lost traffic.
 func (e *tcpEndpoint) failWriter(tc *tcpConn, w *tcpWriter) {
 	tc.mu.Lock()
-	if tc.shards != nil && tc.shards[w.shard] == w {
-		tc.shards[w.shard] = nil
+	if tc.w == w {
+		tc.w = nil
 	}
 	tc.mu.Unlock()
 	w.kill()
-	w.closeConn()
-	var lost uint64
+	w.conn.Close()
+	e.noteDropped(tc, w.drain())
+}
+
+// drain releases every queued frame and returns how many there were.
+func (w *tcpWriter) drain() uint64 {
+	var n uint64
 	for {
 		select {
 		case fb := <-w.ch:
 			fb.Release()
-			lost++
+			n++
 		default:
-			e.noteDropped(tc, lost)
-			return
+			return n
 		}
 	}
 }
@@ -567,14 +518,11 @@ func (e *tcpEndpoint) Close() error {
 		e.conns.Range(func(_, v any) bool {
 			tc := v.(*tcpConn)
 			tc.mu.Lock()
-			for i, w := range tc.shards {
-				if w != nil {
-					w.kill()
-					w.closeConn()
-					tc.shards[i] = nil
-				}
-			}
+			w := tc.w
 			tc.mu.Unlock()
+			if w != nil {
+				e.failWriter(tc, w)
+			}
 			return true
 		})
 	})

@@ -62,13 +62,17 @@ type Endpoint interface {
 	// any Handler installed via SetHandler.
 	SetFrameHandler(FrameHandler)
 	// Send delivers data to the endpoint named by to. Delivery is
-	// asynchronous and unordered with respect to other sends; an error
-	// is returned only for local or addressing failures — silent loss
-	// in transit is possible, as on a real network. The data buffer is
-	// not referenced after Send returns.
+	// asynchronous and FIFO per (sending endpoint, destination): of two
+	// sends from this endpoint to one destination, where the first
+	// returned before the second began, the first is delivered first.
+	// Frames may be lost in transit; a transport that detects the loss
+	// reports it as an error to a later Send to that destination. An
+	// error is otherwise returned only for local or addressing
+	// failures. The data buffer is not referenced after Send returns.
 	Send(to oa.Element, data []byte) error
 	// SendBuf delivers the contents of b (one whole frame in b.B) to
-	// the endpoint named by to without copying: the transport takes its
+	// the endpoint named by to, in the same order and with the same
+	// loss reporting as Send, without copying: the transport takes its
 	// own reference on b for as long as it needs the bytes. The caller
 	// keeps its reference and must treat b.B as immutable from the
 	// first SendBuf until its own Release — the same buffer may be

@@ -221,7 +221,8 @@ func TestTCPDelivery(t *testing.T) {
 }
 
 func TestTCPBidirectionalAndReuse(t *testing.T) {
-	tr := &TCP{}
+	reg := metrics.NewRegistry()
+	tr := &TCP{Registry: reg}
 	a, _ := tr.NewEndpoint()
 	defer a.Close()
 	b, _ := tr.NewEndpoint()
@@ -239,6 +240,14 @@ func TestTCPBidirectionalAndReuse(t *testing.T) {
 	}
 	colB.wait(t, 20)
 	colA.wait(t, 20)
+	// Counted like the fabric's net/sent; one connection per direction,
+	// reused for every frame after the first.
+	if got := reg.Counter("net/sent").Value(); got != 40 {
+		t.Errorf("net/sent = %d, want 40", got)
+	}
+	if got := reg.Counter("net/tcp_dials").Value(); got != 2 {
+		t.Errorf("net/tcp_dials = %d, want 2", got)
+	}
 }
 
 func TestTCPUnreachable(t *testing.T) {
