@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test multicore race bench bench-invoke fuzz-smoke vet check experiments crash-test migrate-test obs-test store-test des-test
+.PHONY: all build test multicore race bench bench-invoke bench-placement fuzz-smoke vet check experiments crash-test migrate-test obs-test store-test des-test
 
 all: check
 
@@ -70,6 +70,19 @@ bench:
 bench-invoke:
 	$(GO) test -run xxx -bench 'BenchmarkParallelInvoke|BenchmarkE1BindingPath' -benchmem -benchtime=2s .
 
+# Placement must not grow with the jurisdiction: one create+activate
+# against a standing table of 10^4 objects may cost at most twice what
+# it costs against 10^2 (the 10^5 row is printed for information).
+bench-placement:
+	$(GO) test -run '^$$' -bench '^BenchmarkActivateAtScale$$' -benchtime 2000x ./internal/magistrate | awk '\
+		{ print } \
+		/objs=1e2-/ { lo = $$3 } \
+		/objs=1e4-/ { hi = $$3 } \
+		END { \
+			if (lo == 0 || hi == 0) { print "FAIL: BenchmarkActivateAtScale rows missing"; exit 1 } \
+			if (hi > 2 * lo) { printf "FAIL: create+activate %d ns/op at 1e4 objects > 2x %d ns/op at 1e2\n", hi, lo; exit 1 } \
+			printf "ok: create+activate 1e4/1e2 = %.2fx (gate 2x)\n", hi / lo }'
+
 # Storage engine gauntlet: the fault-injected recovery matrix (torn
 # writes, fsync errors, crash tails, mid-compaction crashes) and the
 # backend conformance suite under the race detector, then the chaos
@@ -88,7 +101,7 @@ des-test:
 	$(GO) test -race -run 'TestReplayDeterminism|TestBreakerVirtualClock' ./internal/des ./internal/health
 	$(GO) run ./cmd/legion-bench -quick -run E22
 
-# Short fuzz pass over the wire decoder (v2/v3/v4 frames) and the
+# Short fuzz pass over the wire decoder (v4 frames) and the
 # segment-record/snapshot codec: enough to catch a freshly introduced
 # parser panic without tying up CI.
 fuzz-smoke:

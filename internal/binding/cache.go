@@ -86,7 +86,6 @@ func NewCache(capacity int) *Cache {
 	now := time.Now
 	c.clock.Store(&now)
 	for i := range c.shards {
-		c.shards[i].items = make(map[loid.LOID]*entry)
 		c.shards[i].oldest.Store(noStamp)
 	}
 	return c
@@ -127,6 +126,9 @@ func (c *Cache) Add(b Binding) {
 		return
 	}
 	e := &entry{key: k, b: b, stamp: c.tick.Add(1)}
+	if s.items == nil {
+		s.items = make(map[loid.LOID]*entry) // on first use: most caches stay empty
+	}
 	s.items[k] = e
 	s.pushFront(e)
 	s.mu.Unlock()
@@ -267,7 +269,7 @@ func (c *Cache) Clear() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		n := len(s.items)
-		s.items = make(map[loid.LOID]*entry)
+		s.items = nil
 		s.head, s.tail = nil, nil
 		s.oldest.Store(noStamp)
 		s.mu.Unlock()

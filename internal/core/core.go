@@ -423,30 +423,9 @@ func (s *System) bootstrap() error {
 	hostSeq, magSeq := uint64(0), uint64(0)
 	var allMags []loid.LOID
 	for j := 0; j < s.Options.Jurisdictions; j++ {
-		dir := s.storeRoot()
-		backend := s.Options.StoreBackend
-		if backend == "" {
-			if dir != "" {
-				backend = "file"
-			} else {
-				backend = "mem"
-			}
-		}
-		if backend != "mem" && dir == "" {
-			return fmt.Errorf("core: store backend %q needs DataDir or VaultDir", backend)
-		}
-		store, err := persist.Open(backend, persist.BackendConfig{
-			Dir:     fmt.Sprintf("%s/j%d", dir, j),
-			Sync:    s.Options.SyncOPRs,
-			Metrics: s.Reg,
-		})
+		store, err := s.openStore(j)
 		if err != nil {
-			return fmt.Errorf("core: open %s store: %w", backend, err)
-		}
-		if sp, ok := store.(persist.StatsProvider); ok {
-			if q := sp.Stats().Quarantined; q > 0 {
-				s.Reg.Counter("persist/quarantined").Add(uint64(q))
-			}
+			return err
 		}
 		juris := &Jurisdiction{Store: store}
 
@@ -547,6 +526,39 @@ func (s *System) bootstrap() error {
 		return err
 	}
 	return nil
+}
+
+// openStore opens the store of jurisdiction j (0-based, in boot
+// order): the StoreBackend engine — file by default when a data
+// directory is set, else mem — rooted at <DataDir or VaultDir>/j<j>,
+// with the SyncOPRs and metrics settings. Boot and AddJurisdiction
+// both open their stores here.
+func (s *System) openStore(j int) (persist.Store, error) {
+	dir := s.storeRoot()
+	backend := s.Options.StoreBackend
+	if backend == "" {
+		backend = "mem"
+		if dir != "" {
+			backend = "file"
+		}
+	}
+	if backend != "mem" && dir == "" {
+		return nil, fmt.Errorf("core: store backend %q needs DataDir or VaultDir", backend)
+	}
+	store, err := persist.Open(backend, persist.BackendConfig{
+		Dir:     fmt.Sprintf("%s/j%d", dir, j),
+		Sync:    s.Options.SyncOPRs,
+		Metrics: s.Reg,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: open %s store: %w", backend, err)
+	}
+	if sp, ok := store.(persist.StatsProvider); ok {
+		if q := sp.Stats().Quarantined; q > 0 {
+			s.Reg.Counter("persist/quarantined").Add(uint64(q))
+		}
+	}
+	return store, nil
 }
 
 // bootAgents builds the agent tree bottom-up.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/loid"
 	"repro/internal/magistrate"
 	"repro/internal/oa"
-	"repro/internal/persist"
 	"repro/internal/rt"
 	"repro/internal/wire"
 )
@@ -34,13 +33,10 @@ func (s *System) AddJurisdiction(hostCount int) (*Jurisdiction, error) {
 	s.nextHostSeq += uint64(hostCount)
 	s.mu.Unlock()
 
-	var store persist.Store = persist.NewMemStore()
-	if s.Options.VaultDir != "" {
-		fs, err := persist.NewFileStore(fmt.Sprintf("%s/j%d", s.Options.VaultDir, magSeq))
-		if err != nil {
-			return nil, err
-		}
-		store = fs
+	// Magistrate k serves jurisdiction k-1, as at boot.
+	store, err := s.openStore(int(magSeq) - 1)
+	if err != nil {
+		return nil, err
 	}
 	juris := &Jurisdiction{Store: store}
 

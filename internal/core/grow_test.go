@@ -1,11 +1,14 @@
 package core
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/class"
 	"repro/internal/loid"
 	"repro/internal/magistrate"
+	"repro/internal/persist"
 	"repro/internal/wire"
 )
 
@@ -147,5 +150,27 @@ func TestSplitJurisdiction(t *testing.T) {
 	}
 	if _, err := sys.SplitJurisdiction(tiny, nil, classOf); err == nil {
 		t.Error("split of single-host jurisdiction succeeded")
+	}
+}
+
+// TestAddJurisdictionOpensConfiguredStore checks that a jurisdiction
+// grown at runtime gets the same storage engine as the boot-time ones:
+// the configured backend, rooted under the data directory.
+func TestAddJurisdictionOpensConfiguredStore(t *testing.T) {
+	dir := t.TempDir()
+	sys := bootSys(t, Options{DataDir: dir, StoreBackend: "segment"})
+	j, err := sys.AddJurisdiction(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, ok := j.Store.(*persist.SegmentStore)
+	if !ok {
+		t.Fatalf("grown jurisdiction store is %T, want *persist.SegmentStore", j.Store)
+	}
+	if b := seg.Stats().Backend; b != "segment" {
+		t.Errorf("store reports backend %q, want segment", b)
+	}
+	if !strings.HasPrefix(seg.Dir(), dir+string(filepath.Separator)) {
+		t.Errorf("store dir %q is not under the data directory %q", seg.Dir(), dir)
 	}
 }

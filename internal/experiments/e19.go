@@ -340,6 +340,9 @@ func e19CrashAt(scale Scale, phase, side string) (*e19Result, error) {
 	// grew it; any value below the warm count means migrated state was
 	// lost.
 	res.regressed = post <= pre
+	if err := mag.CheckResidentCounts(); err != nil {
+		return nil, fmt.Errorf("E19 crash %s at %s: %w", side, phase, err)
+	}
 	return res, nil
 }
 

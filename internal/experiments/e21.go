@@ -25,9 +25,9 @@ import (
 // adoption target itself dies mid-ship.
 func RunE21(scale Scale) (*Table, error) {
 	t := &Table{
-		ID:    "E21",
-		Title: "Crash-consistent segment store and bulk adoption (§3.1.1, §4.3)",
-		Claim: "group-committed checkpoints survive torn writes, fsync errors, and crashes mid-compaction or mid-ship with zero acknowledged-record loss; snapshot-shipped bulk adoption recovers a crashed host's residents faster than per-OPR reactivation with exactly one incarnation per object",
+		ID:      "E21",
+		Title:   "Crash-consistent segment store and bulk adoption (§3.1.1, §4.3)",
+		Claim:   "group-committed checkpoints survive torn writes, fsync errors, and crashes mid-compaction or mid-ship with zero acknowledged-record loss; snapshot-shipped bulk adoption recovers a crashed host's residents faster than per-OPR reactivation with exactly one incarnation per object",
 		Columns: []string{"scenario", "objects", "acked", "lost", "quarantined", "regressions", "multi-incarnation", "recovery"},
 	}
 
@@ -441,6 +441,9 @@ func e21Recovery(scale Scale, mode e21Mode) (*e21RecResult, error) {
 	}
 	probe := e18Probe(cli, s.Flat, pre, time.Now(), 10*time.Second)
 	res.regressions = probe.regressions
+	if err := mag.CheckResidentCounts(); err != nil {
+		return nil, fmt.Errorf("E21: %w", err)
+	}
 	res.usedBulk = s.Reg.Counter("mag/bulk_adoptions").Value() > 0
 	res.fellBack = s.Reg.Counter("mag/bulk_adopt_failed").Value() > 0 &&
 		s.Reg.Counter("mag/reactivations").Value() > 0

@@ -154,14 +154,48 @@ func UnmarshalLoad(b []byte) (Load, error) {
 // Score collapses the vector into one comparable hotness number.
 // Residents dominate (they are what migration can actually move);
 // backlog and dispatch rate grade hosts with equal populations, and
-// checkpoint pressure breaks remaining ties. Shared by the
-// Magistrate's placement policy, sched.LeastLoaded, and the
-// rebalancer, so "least loaded" means the same thing everywhere.
+// checkpoint pressure breaks remaining ties. The rebalancer ranks
+// hosts by it, and the one placement policy, PickLeastLoaded, chooses
+// among its values: sched.LeastLoaded feeds it the hosts' own vectors,
+// the Magistrate feeds it resident counts it keeps incrementally plus
+// the dynamic terms of fresh heartbeats. "Least loaded" means the same
+// thing everywhere.
 func (ld Load) Score() float64 {
 	return float64(ld.Residents) +
 		float64(ld.MailboxDepth)/4 +
 		float64(ld.DispatchRate)/200 +
 		float64(ld.CkptDirty)/8
+}
+
+// PlacementMargin is the score the previous pick may trail the best
+// host by and still be chosen again. Resident counts are whole numbers,
+// so a margin below 1 damps only the fractional (backlog, rate,
+// checkpoint) part of the score: equally-populated hosts still take
+// turns, but transient queue wiggles don't bounce placement between
+// them.
+const PlacementMargin = 0.5
+
+// PickLeastLoaded is the least-loaded-with-hysteresis placement policy.
+// It returns the index of the lowest of scores, scanning from index
+// start (mod len(scores), start >= 0) so that ties go to the first host
+// in rotation; the previous pick, index last (-1 for none), is kept
+// while its score trails the best by less than PlacementMargin. It
+// returns -1 for no scores and never allocates.
+func PickLeastLoaded(scores []float64, start, last int) int {
+	n := len(scores)
+	if n == 0 {
+		return -1
+	}
+	best := start % n
+	for i := 1; i < n; i++ {
+		if j := (start + i) % n; scores[j] < scores[best] {
+			best = j
+		}
+	}
+	if last >= 0 && last < n && scores[last] < scores[best]+PlacementMargin {
+		return last
+	}
+	return best
 }
 
 // loadMeter differences the node's dispatch counter across samples.

@@ -243,13 +243,11 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 	for i, l := range ids {
 		rec := recs[i]
 		rec.activating = false
-		if _, still := m.table[l.ID()]; !still {
+		if m.table[l.ID()] != rec {
 			orphans = append(orphans, l)
 			continue
 		}
-		rec.active = true
-		rec.host = target.l
-		rec.addr = target.addr
+		m.setHostLocked(rec, target.l, target.addr)
 		rec.oprAddr = ""
 		if rec.ckptAddr != "" && rec.ckptAddr != addrs[i] {
 			_ = m.store.Delete(rec.ckptAddr)

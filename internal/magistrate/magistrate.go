@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -129,16 +130,22 @@ type Magistrate struct {
 	cond   *sync.Cond // signals activation completion; tied to mu
 	hosts  []hostEntry
 	subs   []subEntry // sub-magistrates (jurisdiction hierarchy, §2.2)
-	rr     int        // placement cursor (fallback when scores tie)
+	rr     int        // placement cursor: where the scan starts, so ties rotate
 	table  map[loid.LOID]*record
 	filter ActivationFilter
 
+	// residents counts the active records per host ID. It changes only
+	// in setHostLocked (and restarts empty in RestoreState), so
+	// placement and Loads never scan the table.
+	residents map[loid.LOID]int
 	// loads holds the newest heartbeat load vector per host
-	// (ReportLoad); lastPick is the placement hysteresis anchor;
-	// oblivious forces the pure rotating-cursor placement of the
-	// pre-load-aware magistrate (ablation baselines and experiments
-	// that need reactivation to move objects between hosts).
+	// (ReportLoad); scores is pickHostLocked's scratch, one per host;
+	// lastPick is the placement hysteresis anchor; oblivious forces the
+	// pure rotating-cursor placement of the pre-load-aware magistrate
+	// (ablation baselines and experiments that need reactivation to
+	// move objects between hosts).
 	loads     map[loid.LOID]loadEntry
+	scores    []float64
 	lastPick  loid.LOID
 	oblivious bool
 
@@ -178,10 +185,11 @@ type hostEntry struct {
 // New builds a Magistrate persisting OPRs into store.
 func New(self loid.LOID, store persist.Store) *Magistrate {
 	m := &Magistrate{
-		self:  self,
-		store: store,
-		table: make(map[loid.LOID]*record),
-		loads: make(map[loid.LOID]loadEntry),
+		self:      self,
+		store:     store,
+		table:     make(map[loid.LOID]*record),
+		residents: make(map[loid.LOID]int),
+		loads:     make(map[loid.LOID]loadEntry),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
@@ -305,12 +313,7 @@ func (m *Magistrate) Dispatch(inv *rt.Invocation) ([][]byte, error) {
 			return nil, err
 		}
 		m.mu.Lock()
-		for i, h := range m.hosts {
-			if h.l.SameObject(l) {
-				m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
-				break
-			}
-		}
+		m.removeHostLocked(l)
 		m.mu.Unlock()
 		return nil, nil
 	case "ListHosts":
@@ -404,17 +407,7 @@ func (m *Magistrate) addHost(inv *rt.Invocation) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.hosts {
-		if m.hosts[i].l.SameObject(l) {
-			m.hosts[i].addr = addr
-			m.seedHost(l, addr)
-			return nil, nil
-		}
-	}
-	m.hosts = append(m.hosts, hostEntry{l: l, addr: addr})
-	m.seedHost(l, addr)
+	m.HostRecovered(l, addr)
 	return nil, nil
 }
 
@@ -446,7 +439,8 @@ func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if old, ok := m.table[l.ID()]; ok {
-		// Replace any previous persistent representations.
+		// Replace the previous record and its persistent representations.
+		m.setHostLocked(old, loid.Nil, oa.Address{})
 		if old.oprAddr != "" {
 			_ = m.store.Delete(old.oprAddr)
 		}
@@ -621,16 +615,14 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 	// The state now lives in the running object; drop the stale OPR.
 	_ = m.store.Delete(oprAddr)
 	m.mu.Lock()
-	// The object may have been deleted while we were starting it; in
-	// that case reap the orphan instead of recording it.
-	if _, still := m.table[l.ID()]; !still {
+	// The object may have been deleted (or re-registered) while we were
+	// starting it; in that case reap the orphan instead of recording it.
+	if m.table[l.ID()] != rec {
 		m.mu.Unlock()
 		_ = hc.KillObject(l)
 		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
 	}
-	rec.active = true
-	rec.host = h.l
-	rec.addr = addr
+	m.setHostLocked(rec, h.l, addr)
 	rec.oprAddr = ""
 	if rec.ckptAddr != "" && rec.ckptAddr != oprAddr {
 		// A leftover checkpoint from a previous incarnation is stale
@@ -663,12 +655,7 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 // The affected LOIDs are returned so callers can log or wait on them.
 func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 	m.mu.Lock()
-	for i, he := range m.hosts {
-		if he.l.SameObject(h) {
-			m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
-			break
-		}
-	}
+	m.removeHostLocked(h)
 	var affected []loid.LOID
 	for id, rec := range m.table {
 		// Migrating records are left to the migration driver: it
@@ -678,26 +665,7 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 		if !rec.active || !rec.host.SameObject(h) || rec.activating || rec.migrating {
 			continue
 		}
-		rec.active = false
-		rec.host = loid.Nil
-		rec.addr = oa.Address{}
-		promoted := false
-		if rec.ckptAddr != "" {
-			// Recover from the newest checkpoint.
-			if rec.oprAddr != "" {
-				_ = m.store.Delete(rec.oprAddr)
-			}
-			rec.oprAddr = rec.ckptAddr
-			rec.ckptAddr = ""
-			promoted = true
-		} else if rec.oprAddr == "" {
-			// The running state died with the host; persist a blank
-			// OPR so the record is activatable again.
-			if a, err := m.store.Put(persist.OPR{LOID: id, Impl: rec.impl}); err == nil {
-				rec.oprAddr = a
-			}
-		}
-		if promoted {
+		if m.settleCrashedLocked(id, rec) {
 			m.plane.NoteGeneration(id.ID().String(), "promote", h.String(), 0)
 		}
 		affected = append(affected, id)
@@ -717,6 +685,28 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 		}
 	}
 	return affected
+}
+
+// settleCrashedLocked makes an active record whose host died inert,
+// keeping its newest state: a crash checkpoint is promoted to the
+// authoritative OPR, and a record with neither gets a blank OPR (the
+// running state died with the host) so it stays activatable. It
+// reports whether a checkpoint was promoted.
+func (m *Magistrate) settleCrashedLocked(l loid.LOID, rec *record) bool {
+	m.setHostLocked(rec, loid.Nil, oa.Address{})
+	if rec.ckptAddr != "" {
+		if rec.oprAddr != "" {
+			_ = m.store.Delete(rec.oprAddr)
+		}
+		rec.oprAddr, rec.ckptAddr = rec.ckptAddr, ""
+		return true
+	}
+	if rec.oprAddr == "" {
+		if a, err := m.store.Put(persist.OPR{LOID: l, Impl: rec.impl}); err == nil {
+			rec.oprAddr = a
+		}
+	}
+	return false
 }
 
 // reactivate brings crashed residents back on surviving hosts and
@@ -790,20 +780,35 @@ func (m *Magistrate) ForgetHosts() {
 	m.hosts = nil
 }
 
-// HostRecovered re-admits a restarted host to the jurisdiction (the
-// simulator's restart path; production hosts re-register via AddHost).
+// HostRecovered admits h to the jurisdiction at addr, or updates the
+// address of a member: the AddHost member function, and the
+// simulator's path for re-admitting a restarted host.
 func (m *Magistrate) HostRecovered(h loid.LOID, addr oa.Address) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.hosts {
-		if m.hosts[i].l.SameObject(h) {
-			m.hosts[i].addr = addr
-			m.seedHost(h, addr)
-			return
+	if i := m.hostIndexLocked(h); i >= 0 {
+		m.hosts[i].addr = addr
+	} else {
+		m.hosts = append(m.hosts, hostEntry{l: h, addr: addr})
+	}
+	m.seedHost(h, addr)
+}
+
+// hostIndexLocked returns h's position in the host list, or -1.
+func (m *Magistrate) hostIndexLocked(h loid.LOID) int {
+	for i, he := range m.hosts {
+		if he.l.SameObject(h) {
+			return i
 		}
 	}
-	m.hosts = append(m.hosts, hostEntry{l: h, addr: addr})
-	m.seedHost(h, addr)
+	return -1
+}
+
+// removeHostLocked drops h from the host list, if present.
+func (m *Magistrate) removeHostLocked(h loid.LOID) {
+	if i := m.hostIndexLocked(h); i >= 0 {
+		m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
+	}
 }
 
 func (m *Magistrate) bindingLocked(l loid.LOID, addr oa.Address) binding.Binding {
@@ -829,35 +834,24 @@ func (m *Magistrate) waitSettledLocked(id loid.LOID) (*record, bool) {
 	}
 }
 
-// placeHysteresis is the score margin the previous pick is allowed to
-// trail the best host by and still be chosen again. Resident counts
-// are whole numbers, so a margin below 1 means hysteresis only damps
-// the FRACTIONAL (backlog/rate) part of the score: with equal
-// populations the cursor still rotates like round-robin, but transient
-// queue wiggles don't bounce placement between equally-populated
-// hosts.
-const placeHysteresis = 0.5
-
 // loadStaleAfter bounds how old a heartbeat may be and still influence
 // placement; older reports (or a host that never reported) contribute
 // resident count alone.
 const loadStaleAfter = 2 * time.Second
 
-// pickHostLocked applies the host hint, or least-loaded-with-
-// hysteresis placement over the jurisdiction's hosts. The resident
-// count comes from the magistrate's own table (always current); the
-// dynamic terms — mailbox backlog, dispatch rate, checkpoint pressure
-// — from the hosts' heartbeat load vectors when fresh. With idle,
-// equally-populated hosts the policy degenerates to round-robin.
+// pickHostLocked applies the host hint, or host.PickLeastLoaded over
+// the jurisdiction's hosts. A host's score is its resident count, kept
+// by setHostLocked (always current), plus the dynamic terms — mailbox
+// backlog, dispatch rate, checkpoint pressure — of its heartbeat load
+// vector when fresh. With idle, equally-populated hosts the policy
+// degenerates to round-robin.
 func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 	if len(m.hosts) == 0 {
 		return hostEntry{}, fmt.Errorf("magistrate %v has no hosts", m.self)
 	}
 	if !hint.IsNil() {
-		for _, h := range m.hosts {
-			if h.l.SameObject(hint) {
-				return h, nil
-			}
+		if i := m.hostIndexLocked(hint); i >= 0 {
+			return m.hosts[i], nil
 		}
 		return hostEntry{}, fmt.Errorf("magistrate %v: hinted host %v not in jurisdiction", m.self, hint)
 	}
@@ -870,38 +864,53 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 		m.lastPick = h.l
 		return h, nil
 	}
-	counts := make(map[loid.LOID]float64, len(m.hosts))
-	for _, rec := range m.table {
-		if rec.active {
-			counts[rec.host.ID()]++
-		}
-	}
 	now := m.now()
-	var best, last hostEntry
-	bestScore, lastScore := 0.0, 0.0
-	haveBest, haveLast := false, false
-	// Start the scan at the cursor so ties rotate instead of piling
-	// onto the first host.
-	n := len(m.hosts)
-	for i := 0; i < n; i++ {
-		h := m.hosts[(m.rr+i)%n]
-		s := counts[h.l.ID()]
+	m.scores = m.scores[:0]
+	for _, h := range m.hosts {
+		s := float64(m.residents[h.l.ID()])
 		if le, ok := m.loads[h.l.ID()]; ok && now.Sub(le.at) < loadStaleAfter {
 			s += le.ld.Score() - float64(le.ld.Residents)
 		}
-		if !haveBest || s < bestScore {
-			best, bestScore, haveBest = h, s, true
-		}
-		if h.l.SameObject(m.lastPick) {
-			last, lastScore, haveLast = h, s, true
-		}
+		m.scores = append(m.scores, s)
 	}
-	if haveLast && lastScore < bestScore+placeHysteresis {
-		best = last
-	}
+	best := m.hosts[host.PickLeastLoaded(m.scores, m.rr, m.hostIndexLocked(m.lastPick))]
 	m.rr++
 	m.lastPick = best.l
 	return best, nil
+}
+
+// setHostLocked records rec as running on h at addr, or inert when h is
+// nil. It is the one place a record's residency changes, so the
+// per-host resident counts stay equal to a recount of the table.
+func (m *Magistrate) setHostLocked(rec *record, h loid.LOID, addr oa.Address) {
+	if rec.active {
+		m.residents[rec.host.ID()]--
+	}
+	rec.active, rec.host, rec.addr = !h.IsNil(), h, addr
+	if rec.active {
+		m.residents[h.ID()]++
+	}
+}
+
+// CheckResidentCounts compares the per-host resident counts with a
+// full recount of the table and reports a host where they differ. It
+// scans the whole table under the lock: a consistency oracle for tests
+// and experiments, not for serving paths.
+func (m *Magistrate) CheckResidentCounts() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	diff := maps.Clone(m.residents)
+	for _, rec := range m.table {
+		if rec.active {
+			diff[rec.host.ID()]--
+		}
+	}
+	for h, d := range diff {
+		if d != 0 {
+			return fmt.Errorf("magistrate %v: host %v resident count is off by %+d from a recount of the table", m.self, h, d)
+		}
+	}
+	return nil
 }
 
 func (m *Magistrate) deactivate(inv *rt.Invocation) ([][]byte, error) {
@@ -944,9 +953,7 @@ func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
 	}
 	m.mu.Lock()
-	rec.active = false
-	rec.host = loid.Nil
-	rec.addr = oa.Address{}
+	m.setHostLocked(rec, loid.Nil, oa.Address{})
 	rec.oprAddr = oprAddr
 	rec.impl = implName
 	ckpt := rec.ckptAddr
@@ -985,6 +992,7 @@ func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
 	active, hostL, oprAddr, ckptAddr := rec.active, rec.host, rec.oprAddr, rec.ckptAddr
+	m.setHostLocked(rec, loid.Nil, oa.Address{})
 	delete(m.table, l.ID())
 	m.mu.Unlock()
 
@@ -1166,6 +1174,7 @@ func (m *Magistrate) RestoreState(state []byte) error {
 		return err
 	}
 	m.table = make(map[loid.LOID]*record, nr)
+	m.residents = make(map[loid.LOID]int)
 	for i := uint64(0); i < nr; i++ {
 		var l loid.LOID
 		l, state, err = loid.Unmarshal(state)

@@ -50,7 +50,7 @@ func counterFactory() rt.Impl {
 	}
 }
 
-func newFixture(t *testing.T, nHosts int) *fixture {
+func newFixture(t testing.TB, nHosts int) *fixture {
 	t.Helper()
 	f := transport.NewFabric(nil)
 	t.Cleanup(func() { f.Close() })

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/host"
 	"repro/internal/loid"
-	"repro/internal/oa"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/rt"
@@ -126,18 +125,12 @@ func (m *Magistrate) reportLoad(inv *rt.Invocation) ([][]byte, error) {
 }
 
 // Loads returns the jurisdiction's per-host load view, in host-list
-// order. Resident counts are recomputed from the placement table so
-// the view never lags the Magistrate's own actions (activations,
-// migrations) behind the heartbeat cadence.
+// order. Resident counts are the Magistrate's own, so the view never
+// lags its actions (activations, migrations) behind the heartbeat
+// cadence.
 func (m *Magistrate) Loads() []HostLoad {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	counts := make(map[loid.LOID]uint64, len(m.hosts))
-	for _, rec := range m.table {
-		if rec.active {
-			counts[rec.host.ID()]++
-		}
-	}
 	now := m.now()
 	out := make([]HostLoad, 0, len(m.hosts))
 	for _, h := range m.hosts {
@@ -146,7 +139,7 @@ func (m *Magistrate) Loads() []HostLoad {
 			hl.Load = le.ld
 			hl.Age = now.Sub(le.at)
 		}
-		hl.Load.Residents = counts[h.l.ID()]
+		hl.Load.Residents = uint64(m.residents[h.l.ID()])
 		out = append(out, hl)
 	}
 	return out
@@ -302,19 +295,12 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 		m.mu.Unlock()
 		return nil // already there
 	}
-	var dest hostEntry
-	found := false
-	for _, h := range m.hosts {
-		if h.l.SameObject(destHost) {
-			dest, found = h, true
-			break
-		}
-	}
-	if !found {
+	di := m.hostIndexLocked(destHost)
+	if di < 0 {
 		m.mu.Unlock()
 		return fmt.Errorf("magistrate %v: destination host %v not in jurisdiction", m.self, destHost)
 	}
-	src := rec.host
+	dest, src := m.hosts[di], rec.host
 	rec.migrating = true
 	m.mu.Unlock()
 
@@ -329,23 +315,10 @@ func (m *Magistrate) MigrateObject(ctx context.Context, l, destHost loid.LOID) e
 	m.mu.Lock()
 	rec.migrating = false
 	m.cond.Broadcast()
-	destGone := rec.active && rec.host.SameObject(dest.l) && !m.hostKnownLocked(dest.l)
+	destGone := rec.active && rec.host.SameObject(dest.l) && m.hostIndexLocked(dest.l) < 0
 	var revive []loid.LOID
 	if destGone {
-		rec.active = false
-		rec.host = loid.Nil
-		rec.addr = oa.Address{}
-		if rec.ckptAddr != "" {
-			if rec.oprAddr != "" {
-				_ = m.store.Delete(rec.oprAddr)
-			}
-			rec.oprAddr = rec.ckptAddr
-			rec.ckptAddr = ""
-		} else if rec.oprAddr == "" {
-			if a, perr := m.store.Put(persist.OPR{LOID: l, Impl: rec.impl}); perr == nil {
-				rec.oprAddr = a
-			}
-		}
+		m.settleCrashedLocked(l, rec)
 		revive = append(revive, l.ID())
 	}
 	survivors := len(m.hosts) > 0
@@ -412,22 +385,20 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 
 	// Phase 4: republish. The binding atomically flips to the new home.
 	m.mu.Lock()
-	if _, still := m.table[l.ID()]; !still {
+	if m.table[l.ID()] != rec {
 		m.mu.Unlock()
 		_ = destHC.KillObject(l)
 		_ = srcHC.AbortMigrate(ctx, l)
 		return fmt.Errorf("magistrate %v: object %v deleted during migration", m.self, l)
 	}
-	if !m.hostKnownLocked(dest.l) {
+	if m.hostIndexLocked(dest.l) < 0 {
 		// Destination crashed between ship and republish: the source
 		// incarnation is still whole, so reopen it.
 		m.mu.Unlock()
 		return m.abortToSource(l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: destination %v failed before republish", m.self, dest.l))
 	}
-	rec.active = true
-	rec.host = dest.l
-	rec.addr = addr
+	m.setHostLocked(rec, dest.l, addr)
 	b := m.bindingLocked(l, addr)
 	m.mu.Unlock()
 	m.notifyClass(l, b)
@@ -455,7 +426,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 // had the record not been migrating.
 func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcHC *host.Client, cause error) error {
 	m.mu.Lock()
-	srcAlive := m.hostKnownLocked(src)
+	srcAlive := m.hostIndexLocked(src) >= 0
 	m.mu.Unlock()
 	if srcAlive {
 		if err := srcHC.AbortMigrate(context.Background(), l); err != nil {
@@ -468,20 +439,7 @@ func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcH
 	m.mu.Lock()
 	var revive []loid.LOID
 	if rec.active && rec.host.SameObject(src) {
-		rec.active = false
-		rec.host = loid.Nil
-		rec.addr = oa.Address{}
-		if rec.ckptAddr != "" {
-			if rec.oprAddr != "" {
-				_ = m.store.Delete(rec.oprAddr)
-			}
-			rec.oprAddr = rec.ckptAddr
-			rec.ckptAddr = ""
-		} else if rec.oprAddr == "" {
-			if a, perr := m.store.Put(persist.OPR{LOID: l, Impl: rec.impl}); perr == nil {
-				rec.oprAddr = a
-			}
-		}
+		m.settleCrashedLocked(l, rec)
 		revive = append(revive, l.ID())
 	}
 	survivors := len(m.hosts) > 0
@@ -490,15 +448,4 @@ func (m *Magistrate) abortToSource(l loid.LOID, rec *record, src loid.LOID, srcH
 		go m.reactivate(revive)
 	}
 	return cause
-}
-
-// hostKnownLocked reports whether h is currently in the jurisdiction's
-// host list (m.mu held).
-func (m *Magistrate) hostKnownLocked(h loid.LOID) bool {
-	for _, he := range m.hosts {
-		if he.l.SameObject(h) {
-			return true
-		}
-	}
-	return false
 }

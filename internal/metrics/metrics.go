@@ -235,11 +235,13 @@ func (h *Histogram) Snapshot() HistStats {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
 	for i := range h.exDur {
-		if enc := h.exDur[i].Load(); enc > 0 {
+		// A slot's first writer stores its duration before its trace:
+		// skip a slot caught in between.
+		if enc, tr := h.exDur[i].Load(), h.exTrace[i].Load(); enc > 0 && tr != 0 {
 			s.Exemplars = append(s.Exemplars, Exemplar{
 				Bucket:  i,
 				Dur:     time.Duration(enc - 1),
-				TraceID: h.exTrace[i].Load(),
+				TraceID: tr,
 			})
 		}
 	}

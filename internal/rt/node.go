@@ -214,7 +214,7 @@ func (n *Node) Spawn(l loid.LOID, impl Impl, opts ...SpawnOption) (*Object, erro
 		node:    n,
 		self:    l,
 		impl:    impl,
-		mailbox: make(chan *wire.Frame, mailboxDepth),
+		mailbox: newMailbox(),
 		done:    make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -362,9 +362,7 @@ func (n *Node) receiveFrame(b *buf.Buffer, data []byte, sync bool) {
 			return
 		}
 		f.Own(b) // the mailbox outlives this call: pin the buffer
-		select {
-		case o.mailbox <- f:
-		case <-o.done:
+		if !o.mailbox.put(f, o.done) {
 			if f.Kind == wire.KindRequest && f.HasReplyTo() {
 				n.replyFrame(f, wire.ErrNoSuchObject, "object stopped", nil)
 			}
@@ -508,6 +506,3 @@ func (n *Node) send(to oa.Element, data []byte) error {
 func (n *Node) sendBuf(to oa.Element, b *buf.Buffer) error {
 	return n.ep.SendBuf(to, b)
 }
-
-// mailboxDepth bounds each object's queue of unprocessed messages.
-const mailboxDepth = 1024

@@ -46,7 +46,7 @@ type Object struct {
 	// skip idle objects.
 	muts atomic.Uint64
 
-	mailbox chan *wire.Frame
+	mailbox *mailbox
 	done    chan struct{}
 	once    sync.Once
 }
@@ -126,7 +126,7 @@ func (o *Object) Mutations() uint64 { return o.muts.Load() }
 
 // QueueLen is the object's current mailbox backlog — one term of the
 // Host Object's load vector.
-func (o *Object) QueueLen() int { return len(o.mailbox) }
+func (o *Object) QueueLen() int { return o.mailbox.len() }
 
 // SetPolicy replaces the object's MayI policy at run time.
 func (o *Object) SetPolicy(p security.Policy) { o.policy = p }
@@ -135,9 +135,11 @@ func (o *Object) SetPolicy(p security.Policy) { o.policy = p }
 func (o *Object) loop() {
 	for {
 		select {
-		case f := <-o.mailbox:
-			o.serve(f)
-			f.Close()
+		case <-o.mailbox.ready:
+			if f := o.mailbox.take(); f != nil {
+				o.serve(f)
+				f.Close()
+			}
 		case <-o.done:
 			return
 		}
@@ -384,15 +386,9 @@ func (o *Object) stop() {
 	o.once.Do(func() {
 		close(o.done)
 		// Queued frames hold pooled buffers the workers will never
-		// drain; release them now that no worker will race the drain.
-	drain:
-		for {
-			select {
-			case f := <-o.mailbox:
-				f.Close()
-			default:
-				break drain
-			}
+		// drain; release them.
+		for _, f := range o.mailbox.close() {
+			f.Close()
 		}
 		if s, ok := o.impl.(Stopper); ok {
 			s.Stop()

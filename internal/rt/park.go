@@ -78,10 +78,9 @@ func (n *Node) Unpark(l loid.LOID) int {
 			n.bounceParked(f, "object gone during migration abort")
 			continue
 		}
-		select {
-		case o.mailbox <- f:
+		if o.mailbox.tryPut(f) {
 			replayed++
-		default:
+		} else {
 			// A full mailbox must not block the abort; bounce to the
 			// caller's retry loop instead.
 			n.bounceParked(f, "mailbox full during migration abort")

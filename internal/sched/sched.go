@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -78,24 +79,20 @@ func (p *Random) Pick(cs []loid.LOID, _ func(loid.LOID) (host.Load, error)) (loi
 
 func (p *Random) Name() string { return "random" }
 
-// LeastLoaded queries every candidate's load vector and picks the
-// host with the lowest Score (residents + backlog + dispatch rate +
-// checkpoint pressure — the same hotness number the Magistrate's
-// placement and the rebalancer use). Unreachable hosts are skipped.
-// Hysteresis keeps the previous pick while it trails the best by less
-// than the margin, so placement doesn't flap between hosts whose
-// scores differ only by transient queue noise.
+// LeastLoaded queries every candidate's load vector and applies
+// host.PickLeastLoaded to their Scores — the policy the Magistrate's
+// own placement uses. Unreachable hosts are skipped. The scan starts at
+// the first candidate, and the previous pick is held while it trails
+// the best by less than host.PlacementMargin, so placement doesn't
+// flap between hosts whose scores differ only by transient queue
+// noise.
 type LeastLoaded struct {
-	// Hysteresis is the score margin the previous pick may trail the
-	// best candidate by and still be chosen again; zero disables it.
-	Hysteresis float64
-
 	mu       sync.Mutex
 	lastPick loid.LOID
 }
 
-// NewLeastLoaded builds the policy with the default hysteresis margin.
-func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{Hysteresis: 0.5} }
+// NewLeastLoaded builds the policy.
+func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
 
 func (p *LeastLoaded) Pick(cs []loid.LOID, ask func(loid.LOID) (host.Load, error)) (loid.LOID, error) {
 	if ask == nil {
@@ -104,32 +101,27 @@ func (p *LeastLoaded) Pick(cs []loid.LOID, ask func(loid.LOID) (host.Load, error
 	p.mu.Lock()
 	last := p.lastPick
 	p.mu.Unlock()
-	best := loid.Nil
-	bestScore, lastScore := 0.0, 0.0
-	haveLast := false
-	for _, c := range cs {
-		ld, err := ask(c)
-		if err != nil {
-			continue
+	var buf [16]float64 // typical candidate lists score on the stack
+	scores := buf[:0]
+	lastIdx := -1
+	for i, c := range cs {
+		s := math.Inf(1) // unreachable: never the best
+		if ld, err := ask(c); err == nil {
+			s = ld.Score()
 		}
-		s := ld.Score()
-		if best.IsNil() || s < bestScore {
-			best, bestScore = c, s
-		}
+		scores = append(scores, s)
 		if c.SameObject(last) {
-			lastScore, haveLast = s, true
+			lastIdx = i
 		}
 	}
-	if best.IsNil() {
+	i := host.PickLeastLoaded(scores, 0, lastIdx)
+	if math.IsInf(scores[i], 1) {
 		return loid.Nil, fmt.Errorf("sched: no candidate host reachable")
 	}
-	if haveLast && lastScore < bestScore+p.Hysteresis {
-		best = last
-	}
 	p.mu.Lock()
-	p.lastPick = best
+	p.lastPick = cs[i]
 	p.mu.Unlock()
-	return best, nil
+	return cs[i], nil
 }
 
 func (p *LeastLoaded) Name() string { return "least-loaded" }

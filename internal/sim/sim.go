@@ -87,13 +87,14 @@ func NewWorkerImpl() rt.Impl {
 	}
 }
 
-// WorkerInterface describes the worker instances.
-func WorkerInterface() *idl.Interface {
-	return idl.NewInterface("SimWorker",
-		idl.MethodSig{Name: "Work", Returns: []idl.Param{{Name: "calls", Type: idl.TUint64}}},
-		idl.MethodSig{Name: "Pad", Params: []idl.Param{{Name: "size", Type: idl.TUint64}}},
-	)
-}
+// WorkerInterface describes the worker instances. They all share the
+// one value, so callers must treat it as read-only.
+func WorkerInterface() *idl.Interface { return workerInterface }
+
+var workerInterface = idl.NewInterface("SimWorker",
+	idl.MethodSig{Name: "Work", Returns: []idl.Param{{Name: "calls", Type: idl.TUint64}}},
+	idl.MethodSig{Name: "Pad", Params: []idl.Param{{Name: "size", Type: idl.TUint64}}},
+)
 
 // Config sizes a simulated deployment.
 type Config struct {

@@ -65,41 +65,6 @@ func TestFrameLazyAccessorsV4(t *testing.T) {
 	}
 }
 
-// TestFrameParsesLegacyVersions pins that the lazy parser reads v2 and
-// v3 envelopes identically to the eager decoder.
-func TestFrameParsesLegacyVersions(t *testing.T) {
-	m := sampleRequest()
-	m.Env.Deadline = 424242
-	m.Env.TraceID, m.Env.SpanID = 5, 6
-	for _, ver := range []byte{2, 3} {
-		data := m.appendMarshal(nil, ver)
-		want, err := Unmarshal(data)
-		if err != nil {
-			t.Fatalf("v%d: %v", ver, err)
-		}
-		var f Frame
-		if err := f.Parse(data); err != nil {
-			t.Fatalf("v%d: Parse: %v", ver, err)
-		}
-		if f.Version() != ver {
-			t.Errorf("Version = %d, want %d", f.Version(), ver)
-		}
-		if f.Kind != want.Kind || f.ID != want.ID || f.Code != want.Code {
-			t.Errorf("v%d eager mismatch", ver)
-		}
-		if f.Target() != want.Target || f.Env() != want.Env || f.Method() != want.Method {
-			t.Errorf("v%d lazy mismatch: env %+v want %+v", ver, f.Env(), want.Env)
-		}
-		if !f.ReplyToAddress().Equal(want.ReplyTo) {
-			t.Errorf("v%d reply-to mismatch", ver)
-		}
-		got := f.CopyArgs()
-		if len(got) != len(want.Args) || !bytes.Equal(got[0], want.Args[0]) {
-			t.Errorf("v%d args mismatch", ver)
-		}
-	}
-}
-
 // TestAppendRequestMatchesMessage pins the direct builders against the
 // Message encoder: same inputs, byte-identical frames.
 func TestAppendRequestMatchesMessage(t *testing.T) {
@@ -125,21 +90,18 @@ func TestAppendReplyMatchesMessage(t *testing.T) {
 }
 
 // TestFrameTruncationsAllVersions runs the truncation sweep against the
-// lazy parser for every accepted version.
+// lazy parser for every accepted version (v4 is the only one).
 func TestFrameTruncationsAllVersions(t *testing.T) {
-	m := sampleRequest()
-	for _, ver := range []byte{2, 3, 4} {
-		data := m.appendMarshal(nil, ver)
-		for n := 0; n < len(data); n++ {
-			var f Frame
-			if err := f.Parse(data[:n]); err == nil {
-				t.Fatalf("v%d: Parse of %d-byte prefix succeeded", ver, n)
-			}
-		}
+	data := sampleRequest().Marshal(nil)
+	for n := 0; n < len(data); n++ {
 		var f Frame
-		if err := f.Parse(append(append([]byte(nil), data...), 0x00)); err == nil {
-			t.Fatalf("v%d: trailing byte accepted", ver)
+		if err := f.Parse(data[:n]); err == nil {
+			t.Fatalf("Parse of %d-byte prefix succeeded", n)
 		}
+	}
+	var f Frame
+	if err := f.Parse(append(append([]byte(nil), data...), 0x00)); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
 }
 

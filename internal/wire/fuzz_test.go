@@ -18,9 +18,10 @@ import (
 //     that are accepted again and decode to the same message — the
 //     decoder cannot "accept" a frame into an unencodable state.
 //
-// The seed corpus covers all three accepted versions (v2/v3/v4), the
-// three kinds, and the corruption shapes the unit tests probe
-// (truncations, trailing garbage, bad magic/version).
+// The seed corpus covers v4 frames of the three kinds, each also
+// stamped with the retired versions 2 and 3 (which must be rejected),
+// and the corruption shapes the unit tests probe (truncations,
+// trailing garbage, bad magic/version).
 func FuzzParseFrame(f *testing.F) {
 	req := sampleRequest()
 	req.Env.Deadline = 123
@@ -35,7 +36,9 @@ func FuzzParseFrame(f *testing.F) {
 		Args:    [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 300)}}
 	for _, m := range []*Message{req, rep, oneway, noargs, multi} {
 		for _, ver := range []byte{2, 3, 4} {
-			f.Add(m.appendMarshal(nil, ver))
+			data := m.Marshal(nil)
+			data[2] = ver
+			f.Add(data)
 		}
 	}
 	good := req.Marshal(nil)

@@ -139,13 +139,10 @@ type Message struct {
 
 const (
 	magic = 0x4C47 // "LG"
-	// version is what we emit. v2 added Env.Deadline; v3 added the
-	// trace triple (TraceID/SpanID/ParentSpanID); v4 moved to the
-	// fixed-offset zero-copy layout (see frame.go). The decoder accepts
-	// v2 and v3 frames alongside v4: a v2 frame simply has no trace
-	// fields, so they decode as zero ("not traced").
-	version   = 4
-	oldestVer = 2
+	// version is what we emit and the only version we decode: the
+	// fixed-offset zero-copy layout (see frame.go). The length-prefixed
+	// v2/v3 envelopes it replaced are rejected.
+	version = 4
 )
 
 // maxArgs bounds the argument vector; generous but prevents a corrupt
@@ -195,43 +192,8 @@ func (m *Message) Marshal(dst []byte) []byte { return m.AppendMarshal(dst) }
 // extended slice. It is the allocation-transparent form used with
 // pooled buffers (GetBuf/Put).
 func (m *Message) AppendMarshal(dst []byte) []byte {
-	return m.appendMarshal(dst, version)
-}
-
-// appendMarshal emits a frame of the requested protocol version. Only
-// the current version is emitted in production; tests use older
-// versions to pin decoder compatibility.
-func (m *Message) appendMarshal(dst []byte, ver byte) []byte {
-	if ver >= 4 {
-		return appendV4(dst, m.Kind, m.ID, m.Code, m.Target, m.Method,
-			&m.Env, m.ReplyTo, m.ErrText, m.Args)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[0:2], magic)
-	hdr[2] = ver
-	hdr[3] = byte(m.Kind)
-	dst = append(dst, hdr[:]...)
-	dst = binary.BigEndian.AppendUint64(dst, m.ID)
-	dst = m.Target.Marshal(dst)
-	dst = appendString(dst, m.Method)
-	dst = m.Env.Responsible.Marshal(dst)
-	dst = m.Env.Security.Marshal(dst)
-	dst = m.Env.Calling.Marshal(dst)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Env.Deadline))
-	if ver >= 3 {
-		dst = binary.BigEndian.AppendUint64(dst, m.Env.TraceID)
-		dst = binary.BigEndian.AppendUint64(dst, m.Env.SpanID)
-		dst = binary.BigEndian.AppendUint64(dst, m.Env.ParentSpanID)
-	}
-	dst = m.ReplyTo.Marshal(dst)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(m.Code))
-	dst = appendString(dst, m.ErrText)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Args)))
-	for _, a := range m.Args {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(a)))
-		dst = append(dst, a...)
-	}
-	return dst
+	return appendV4(dst, m.Kind, m.ID, m.Code, m.Target, m.Method,
+		&m.Env, m.ReplyTo, m.ErrText, m.Args)
 }
 
 // Unmarshal decodes one message from src; the whole of src must be the

@@ -118,47 +118,14 @@ func TestUnmarshalBadMagicVersion(t *testing.T) {
 	if _, err := Unmarshal(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
-	bad = append([]byte(nil), buf...)
-	bad[2] = 99
-	if _, err := Unmarshal(bad); err == nil {
-		t.Error("bad version accepted")
-	}
-}
-
-// TestV2FrameDecodesUnderV3 pins wire compatibility across the v2→v3
-// protocol bump: a v2-encoded frame (no trace fields) must decode
-// under the v3 decoder with zero trace ids, and a v3 frame carrying
-// zero trace ids must decode to the same message a v2 peer would see.
-func TestV2FrameDecodesUnderV3(t *testing.T) {
-	m := sampleRequest()
-	m.Env.Deadline = 123456789
-
-	v2 := m.appendMarshal(nil, 2)
-	got, err := Unmarshal(v2)
-	if err != nil {
-		t.Fatalf("v3 decoder rejected v2 frame: %v", err)
-	}
-	if got.Env.TraceID != 0 || got.Env.SpanID != 0 || got.Env.ParentSpanID != 0 {
-		t.Errorf("v2 frame decoded with nonzero trace ids: %+v", got.Env)
-	}
-	if got.Env.Deadline != m.Env.Deadline || got.Method != m.Method || got.ID != m.ID {
-		t.Errorf("v2 frame lost fields: %+v", got)
-	}
-	if len(got.Args) != 2 || !bytes.Equal(got.Args[0], m.Args[0]) {
-		t.Errorf("v2 frame args mismatch: %v", got.Args)
-	}
-
-	// Zero trace ids: the v3 encoding must decode identically to v2.
-	v3 := m.appendMarshal(nil, 3)
-	if len(v3) != len(v2)+24 {
-		t.Fatalf("v3 frame is %d bytes, want v2 (%d) + 24", len(v3), len(v2))
-	}
-	got3, err := Unmarshal(v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got3.Env != got.Env || got3.ID != got.ID || got3.Method != got.Method {
-		t.Errorf("v3 zero-trace decode differs from v2: %+v vs %+v", got3, got)
+	// v2 and v3 (the retired length-prefixed layouts) are as foreign
+	// as a version from the future.
+	for _, ver := range []byte{2, 3, 99} {
+		bad = append([]byte(nil), buf...)
+		bad[2] = ver
+		if _, err := Unmarshal(bad); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("version %d: err = %v, want unsupported version", ver, err)
+		}
 	}
 }
 
