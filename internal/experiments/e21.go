@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/loid"
@@ -399,6 +400,29 @@ func e21Recovery(scale Scale, mode e21Mode) (*e21RecResult, error) {
 	cli := s.Clients[0]
 	cli.Retry = rt.RetryPolicy{MaxAttempts: 20, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 
+	// The magistrate's residency hook stamps each object's activation
+	// at its commit, so the settle time does not include how long this
+	// goroutine takes to notice it (a sleep-poll oversleeps under load).
+	var (
+		amu      sync.Mutex
+		activeAt = make(map[loid.LOID]time.Time) // by object ID; absent while inert
+		changed  = make(chan struct{}, 1)
+	)
+	mag.SetResidencyHook(func(l, h loid.LOID) {
+		amu.Lock()
+		if h.IsNil() {
+			delete(activeAt, l.ID())
+		} else {
+			activeAt[l.ID()] = time.Now()
+		}
+		amu.Unlock()
+		select {
+		case changed <- struct{}{}:
+		default:
+		}
+	})
+	defer mag.SetResidencyHook(nil)
+
 	t0 := time.Now()
 	allLost, err := s.CrashHostAndDetect(0, 1)
 	if err != nil {
@@ -409,27 +433,35 @@ func e21Recovery(scale Scale, mode e21Mode) (*e21RecResult, error) {
 	}
 	res := &e21RecResult{objects: len(s.Flat), lost: len(allLost)}
 
-	// Settle: every lost object active again per the placement table.
-	lostIDs := make(map[loid.LOID]bool, len(allLost))
-	for _, l := range allLost {
-		lostIDs[l.ID()] = true
-	}
-	deadline := t0.Add(10 * time.Second)
-	for {
-		active := 0
-		for _, p := range mag.Placements() {
-			if lostIDs[p.Object.ID()] && p.Active {
-				active++
+	// Settle: every lost object active again, at the last such commit.
+	// HostFailed made each of them inert before CrashHostAndDetect
+	// returned, so each stamp is of its recovery.
+	settled := func() (n int, last time.Time) {
+		amu.Lock()
+		defer amu.Unlock()
+		for _, l := range allLost {
+			if at, ok := activeAt[l.ID()]; ok {
+				n++
+				if at.After(last) {
+					last = at
+				}
 			}
 		}
-		if active == len(lostIDs) {
-			res.settle = time.Since(t0)
+		return n, last
+	}
+	timeout := time.NewTimer(10 * time.Second)
+	defer timeout.Stop()
+	for {
+		n, last := settled()
+		if n == len(allLost) {
+			res.settle = last.Sub(t0)
 			break
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("E21: only %d/%d lost objects settled", active, len(lostIDs))
+		select {
+		case <-changed:
+		case <-timeout.C:
+			return nil, fmt.Errorf("E21: only %d/%d lost objects settled", n, len(allLost))
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 
 	// Exactly-one-incarnation sweep, then the state probe (the probe's

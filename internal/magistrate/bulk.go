@@ -247,7 +247,7 @@ func (m *Magistrate) bulkAdopt(ls []loid.LOID) {
 			orphans = append(orphans, l)
 			continue
 		}
-		m.setHostLocked(rec, target.l, target.addr)
+		m.setHostLocked(l, rec, target.l, target.addr)
 		rec.oprAddr = ""
 		if rec.ckptAddr != "" && rec.ckptAddr != addrs[i] {
 			_ = m.store.Delete(rec.ckptAddr)

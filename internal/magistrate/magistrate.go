@@ -159,6 +159,9 @@ type Magistrate struct {
 	// adoptHook observes the moment between snapshot export and
 	// shipping (chaos injection; see SetAdoptHook).
 	adoptHook func(target loid.LOID)
+	// residencyHook observes every residency change at its commit (see
+	// SetResidencyHook).
+	residencyHook func(object, host loid.LOID)
 
 	// plane is the cluster observability plane this Magistrate feeds
 	// (heartbeat epochs, piggybacked telemetry, OPR generations,
@@ -440,7 +443,7 @@ func (m *Magistrate) register(inv *rt.Invocation) ([][]byte, error) {
 	defer m.mu.Unlock()
 	if old, ok := m.table[l.ID()]; ok {
 		// Replace the previous record and its persistent representations.
-		m.setHostLocked(old, loid.Nil, oa.Address{})
+		m.setHostLocked(l, old, loid.Nil, oa.Address{})
 		if old.oprAddr != "" {
 			_ = m.store.Delete(old.oprAddr)
 		}
@@ -622,7 +625,7 @@ func (m *Magistrate) startOn(ctx context.Context, l loid.LOID, rec *record, h ho
 		_ = hc.KillObject(l)
 		return binding.Binding{}, fmt.Errorf("magistrate %v: object %v deleted during activation", m.self, l)
 	}
-	m.setHostLocked(rec, h.l, addr)
+	m.setHostLocked(l, rec, h.l, addr)
 	rec.oprAddr = ""
 	if rec.ckptAddr != "" && rec.ckptAddr != oprAddr {
 		// A leftover checkpoint from a previous incarnation is stale
@@ -693,7 +696,7 @@ func (m *Magistrate) HostFailed(h loid.LOID) []loid.LOID {
 // running state died with the host) so it stays activatable. It
 // reports whether a checkpoint was promoted.
 func (m *Magistrate) settleCrashedLocked(l loid.LOID, rec *record) bool {
-	m.setHostLocked(rec, loid.Nil, oa.Address{})
+	m.setHostLocked(l, rec, loid.Nil, oa.Address{})
 	if rec.ckptAddr != "" {
 		if rec.oprAddr != "" {
 			_ = m.store.Delete(rec.oprAddr)
@@ -879,10 +882,11 @@ func (m *Magistrate) pickHostLocked(hint loid.LOID) (hostEntry, error) {
 	return best, nil
 }
 
-// setHostLocked records rec as running on h at addr, or inert when h is
-// nil. It is the one place a record's residency changes, so the
-// per-host resident counts stay equal to a recount of the table.
-func (m *Magistrate) setHostLocked(rec *record, h loid.LOID, addr oa.Address) {
+// setHostLocked records object l's record rec as running on h at addr,
+// or inert when h is nil. It is the one place a record's residency
+// changes, so the per-host resident counts stay equal to a recount of
+// the table.
+func (m *Magistrate) setHostLocked(l loid.LOID, rec *record, h loid.LOID, addr oa.Address) {
 	if rec.active {
 		m.residents[rec.host.ID()]--
 	}
@@ -890,6 +894,21 @@ func (m *Magistrate) setHostLocked(rec *record, h loid.LOID, addr oa.Address) {
 	if rec.active {
 		m.residents[h.ID()]++
 	}
+	if m.residencyHook != nil {
+		m.residencyHook(l, h)
+	}
+}
+
+// SetResidencyHook installs an observer of every residency change: h
+// runs as an object's record turns active on host, or inert (host
+// nil), inside the commit and under the Magistrate's lock, so it must
+// be quick and must not call the Magistrate. Experiments use it to
+// time recovery at the commit itself instead of polling Placements.
+// nil removes it.
+func (m *Magistrate) SetResidencyHook(h func(object, host loid.LOID)) {
+	m.mu.Lock()
+	m.residencyHook = h
+	m.mu.Unlock()
 }
 
 // CheckResidentCounts compares the per-host resident counts with a
@@ -953,7 +972,7 @@ func (m *Magistrate) deactivateByLOID(l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: persist %v: %w", m.self, l, err)
 	}
 	m.mu.Lock()
-	m.setHostLocked(rec, loid.Nil, oa.Address{})
+	m.setHostLocked(l, rec, loid.Nil, oa.Address{})
 	rec.oprAddr = oprAddr
 	rec.impl = implName
 	ckpt := rec.ckptAddr
@@ -992,7 +1011,7 @@ func (m *Magistrate) deleteByLOID(l loid.LOID) error {
 		return fmt.Errorf("magistrate %v: unknown object %v", m.self, l)
 	}
 	active, hostL, oprAddr, ckptAddr := rec.active, rec.host, rec.oprAddr, rec.ckptAddr
-	m.setHostLocked(rec, loid.Nil, oa.Address{})
+	m.setHostLocked(l, rec, loid.Nil, oa.Address{})
 	delete(m.table, l.ID())
 	m.mu.Unlock()
 

@@ -398,7 +398,7 @@ func (m *Magistrate) runMigration(ctx context.Context, span *trace.Span, l loid.
 		return m.abortToSource(l, rec, src, srcHC,
 			fmt.Errorf("magistrate %v: destination %v failed before republish", m.self, dest.l))
 	}
-	m.setHostLocked(rec, dest.l, addr)
+	m.setHostLocked(l, rec, dest.l, addr)
 	b := m.bindingLocked(l, addr)
 	m.mu.Unlock()
 	m.notifyClass(l, b)

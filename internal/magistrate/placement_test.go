@@ -208,9 +208,10 @@ func BenchmarkActivateAtScale(b *testing.B) {
 			fx.mag.mu.Lock()
 			for i := 0; i < objs; i++ {
 				rec := &record{impl: "counter"}
+				l := loid.NewNoKey(257, uint64(i+1))
 				hl := fx.hostLs[i%len(fx.hostLs)]
-				fx.mag.setHostLocked(rec, hl, fx.hosts[i%len(fx.hosts)].Address())
-				fx.mag.table[loid.NewNoKey(257, uint64(i+1))] = rec
+				fx.mag.setHostLocked(l, rec, hl, fx.hosts[i%len(fx.hosts)].Address())
+				fx.mag.table[l] = rec
 			}
 			fx.mag.mu.Unlock()
 			b.ReportAllocs()

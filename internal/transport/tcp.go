@@ -30,29 +30,54 @@ const writerBatch = 64
 // deployments. Each endpoint owns one listener; messages are
 // length-prefixed frames.
 //
-// Outbound, each destination gets one connection with one writer, so
-// frames reach the socket in SendBuf order and the endpoint keeps the
-// FIFO contract of Endpoint.Send. Frame headers and reference-counted
-// payload buffers go to the kernel as one writev (net.Buffers), so a
-// frame is never copied between the sender and the socket. Flushing is
-// adaptive: a sender that finds the socket free and nothing queued
-// writes on its own goroutine; otherwise the frame joins the queue and
-// the writer coalesces up to writerBatch frames per syscall. A socket
-// that fails retires its writer, counts the frames it held in
-// net/tcp_dropped, and the destination's next Send reports the loss
-// and redials.
+// A connection carries frames both ways, so two endpoints talking
+// request/response share one socket and the kernel's ACKs ride on the
+// replies. The dialer writes a hello as the first frame of every
+// connection it dials, naming its own listening element; a valid
+// hello makes the accepted connection the acceptor's send path to that
+// element too, if it has no live one. The first live connection to a
+// destination wins and stays its send path until it dies, so the send
+// path never switches under queued frames. Two endpoints that dial
+// each other at once each keep their own connection: correct, just not
+// shared.
 //
-// Inbound, every accepted connection gets its own read loop delivering
-// frames in pooled ref-counted buffers.
+// Each destination has at most one live connection with one writer,
+// so frames reach the socket in SendBuf order and the endpoint keeps
+// the FIFO contract of Endpoint.Send. Frame headers and
+// reference-counted payload buffers go to the kernel as one writev
+// (net.Buffers), so a frame is never copied between the sender and
+// the socket. Flushing is adaptive: a sender that finds the socket
+// free and nothing queued writes on its own goroutine; otherwise the
+// frame joins the queue and the writer coalesces up to writerBatch
+// frames per syscall.
+//
+// Every connection, dialed or accepted, has a read loop delivering
+// frames in pooled ref-counted buffers. A connection whose read loop
+// ends (EOF, a socket error, a rejected frame) or whose write fails
+// retires its writer: the frames it held are counted in
+// net/tcp_dropped, and the destination's next Send reports the loss;
+// the Send after that redials.
+//
+// Trust model: the transport is unauthenticated, as it always was. A
+// hello can bind a connection only to an element on the socket's own
+// remote IP, so a process can take over the replies to another
+// endpoint only from that endpoint's own host, and only while the
+// acceptor has no live connection to it. A dialer whose socket's local
+// IP is not its element's IP (a listener bound to 0.0.0.0, a
+// multi-homed host routing through another address) names the
+// unspecified IP in its hello, and the acceptor keeps that connection
+// receive-only. A first frame that is not a valid hello closes the
+// connection undelivered and counts in net/tcp_rejected.
 type TCP struct {
 	// ListenHost is the host/IP to bind listeners on. Defaults to
 	// 127.0.0.1, which keeps tests and examples self-contained.
 	ListenHost string
 	// Registry receives transport metrics: net/sent (frames accepted
-	// for delivery), net/tcp_dials (connection attempts) and
+	// for delivery), net/tcp_dials (connection attempts),
 	// net/tcp_dropped (outbound frames lost when a destination's
-	// connection died or the endpoint closed with them queued). Nil
-	// discards.
+	// connection died or the endpoint closed with them queued) and
+	// net/tcp_rejected (inbound connections closed for a bad hello or
+	// a zero-length or oversize frame). Nil discards.
 	Registry *metrics.Registry
 }
 
@@ -77,13 +102,14 @@ func (t *TCP) NewEndpoint() (Endpoint, error) {
 		return nil, err
 	}
 	ep := &tcpEndpoint{
-		ln:       ln,
-		elem:     elem,
-		accepted: make(map[net.Conn]struct{}),
-		done:     make(chan struct{}),
-		cSent:    reg.Counter("net/sent"),
-		cDials:   reg.Counter("net/tcp_dials"),
-		cDropped: reg.Counter("net/tcp_dropped"),
+		ln:        ln,
+		elem:      elem,
+		accepted:  make(map[net.Conn]struct{}),
+		done:      make(chan struct{}),
+		cSent:     reg.Counter("net/sent"),
+		cDials:    reg.Counter("net/tcp_dials"),
+		cDropped:  reg.Counter("net/tcp_dropped"),
+		cRejected: reg.Counter("net/tcp_rejected"),
 	}
 	go ep.acceptLoop()
 	return ep, nil
@@ -112,6 +138,9 @@ type tcpEndpoint struct {
 	// cDropped counts outbound frames lost because a destination's
 	// connection died with frames queued or mid-batch (net/tcp_dropped).
 	cDropped *metrics.Counter
+	// cRejected counts connections closed for a bad hello or a
+	// zero-length or oversize frame (net/tcp_rejected).
+	cRejected *metrics.Counter
 
 	done chan struct{}
 	once sync.Once
@@ -146,14 +175,46 @@ type tcpWriter struct {
 	// wmu, and wmu is held through the write that carries them, so a
 	// goroutine holding wmu that sees an empty queue knows every frame
 	// queued before it is already in the socket.
-	wmu  sync.Mutex
-	ch   chan *buf.Buffer
-	wake chan struct{} // capacity 1: "the queue may be non-empty"
-	dead chan struct{} // closed when this connection fails
-	once sync.Once
+	wmu sync.Mutex
+	// hdrs, iov and out are the gather list of one write, kept here so
+	// a write allocates nothing; guarded by wmu. out is the copy of iov
+	// that WriteTo consumes, so iov keeps its backing array.
+	hdrs [writerBatch][4]byte
+	iov  net.Buffers
+	out  net.Buffers
+	// wrote is set once the connection has carried a frame of ours.
+	wrote atomic.Bool
+	ch    chan *buf.Buffer
+	wake  chan struct{} // capacity 1: "the queue may be non-empty"
+	dead  chan struct{} // closed when this connection fails
+	once  sync.Once
+}
+
+func newTCPWriter(conn net.Conn) *tcpWriter {
+	return &tcpWriter{
+		conn: conn,
+		iov:  make(net.Buffers, 0, 2*writerBatch),
+		ch:   make(chan *buf.Buffer, sendQueueDepth),
+		wake: make(chan struct{}, 1),
+		dead: make(chan struct{}),
+	}
 }
 
 func (w *tcpWriter) kill() { w.once.Do(func() { close(w.dead) }) }
+
+// write hands frames to the kernel as one writev, each behind its
+// length header; the caller holds wmu. len(frames) <= writerBatch.
+func (w *tcpWriter) write(frames ...*buf.Buffer) error {
+	w.iov = w.iov[:0]
+	for i, b := range frames {
+		binary.BigEndian.PutUint32(w.hdrs[i][:], uint32(len(b.B)))
+		w.iov = append(w.iov, w.hdrs[i][:], b.B)
+	}
+	w.out = w.iov
+	_, err := w.out.WriteTo(w.conn)
+	w.wrote.Store(true)
+	return err
+}
 
 func (e *tcpEndpoint) Element() oa.Element { return e.elem }
 
@@ -190,30 +251,133 @@ func (e *tcpEndpoint) acceptLoop() {
 		}
 		backoff = time.Millisecond
 		e.amu.Lock()
+		if e.closed() {
+			// Close has already torn down the accepted set.
+			e.amu.Unlock()
+			conn.Close()
+			return
+		}
 		e.accepted[conn] = struct{}{}
 		e.amu.Unlock()
-		go e.readLoop(conn)
+		go e.readLoop(conn, nil, nil)
 	}
+}
+
+func (e *tcpEndpoint) closed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// helloMagic opens the hello, the first frame of every dialed
+// connection ("LGHI").
+const helloMagic = 0x4C474849
+
+// helloLen is the hello's payload length: the magic, then the dialer's
+// element (type, payload).
+const helloLen = 4 + oa.ElementSize
+
+// appendHello appends the hello frame naming e to dst.
+func appendHello(dst []byte, e oa.Element) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, helloLen)
+	dst = binary.BigEndian.AppendUint32(dst, helloMagic)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(e.Type))
+	return append(dst, e.Payload[:]...)
+}
+
+// hello builds the hello for a connection dialed on conn. It names
+// this endpoint's element only when the socket's local IP is the
+// element's IP, the one check the acceptor can make; otherwise it names
+// the unspecified IP, and the acceptor keeps the connection
+// receive-only rather than rejecting it.
+func (e *tcpEndpoint) hello(conn net.Conn) []byte {
+	claim := e.elem
+	if !sameIP(claim, conn.LocalAddr()) {
+		copy(claim.Payload[0:4], net.IPv4zero.To4())
+	}
+	return appendHello(nil, claim)
+}
+
+// sameIP reports whether the TypeIP element e names addr's IP.
+func sameIP(e oa.Element, addr net.Addr) bool {
+	ta, ok := addr.(*net.TCPAddr)
+	return ok && ta.IP.Equal(net.IP(e.Payload[0:4]))
+}
+
+// helloPeer checks the hello payload p that opened a connection from
+// remote. It returns the element to bind the connection to, or the
+// zero Element for a valid hello naming the unspecified IP (the
+// connection stays receive-only); ok is false for anything else.
+func helloPeer(p []byte, remote net.Addr) (peer oa.Element, ok bool) {
+	if len(p) != helloLen || binary.BigEndian.Uint32(p) != helloMagic {
+		return oa.Element{}, false
+	}
+	peer.Type = oa.AddrType(binary.BigEndian.Uint32(p[4:]))
+	copy(peer.Payload[:], p[8:])
+	switch {
+	case peer.Type != oa.TypeIP:
+		return oa.Element{}, false
+	case net.IP(peer.Payload[0:4]).IsUnspecified():
+		return oa.Element{}, true
+	case !sameIP(peer, remote):
+		return oa.Element{}, false
+	}
+	return peer, true
+}
+
+// adopt makes an accepted connection this endpoint's send path to
+// peer, unless it already has a live one: the first live connection to
+// a destination wins, so its send path never switches under queued
+// frames. It returns the destination and the new writer, or nils.
+func (e *tcpEndpoint) adopt(peer oa.Element, conn net.Conn) (*tcpConn, *tcpWriter) {
+	tc := e.connFor(peer)
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if tc.w != nil || e.closed() {
+		return nil, nil
+	}
+	w := newTCPWriter(conn)
+	tc.w = w
+	go e.writeLoop(tc, w)
+	return tc, w
 }
 
 // readChunk is the read loop's accumulation window. It matches
 // buf.MaxPooled so the window buffer itself recycles through the pool.
 const readChunk = buf.MaxPooled
 
-// readLoop drains one inbound connection with coalesced reads: instead
-// of two syscalls per frame (header, then payload), it reads whatever
-// the socket has — often a full frame, under load many — into one
-// pooled window buffer and carves frames out of it as views. Handlers
-// that park a frame past their return take a reference on the window
+// readLoop drains one connection with coalesced reads: instead of two
+// syscalls per frame (header, then payload), it reads whatever the
+// socket has — often a full frame, under load many — into one pooled
+// window buffer and carves frames out of it as views. Handlers that
+// park a frame past their return take a reference on the window
 // (Frame.Own), so frame payloads are never copied out of the read
 // buffer; the loop moves to a fresh window when parked references pin
 // the current one.
-func (e *tcpEndpoint) readLoop(conn net.Conn) {
+//
+// tc and w are the destination and writer of a dialed connection; an
+// accepted one starts with nils, must open with a hello, and gets them
+// if adopt takes it as a send path. When the loop ends it retires w.
+func (e *tcpEndpoint) readLoop(conn net.Conn, tc *tcpConn, w *tcpWriter) {
+	needHello := w == nil
 	defer func() {
 		conn.Close()
 		e.amu.Lock()
 		delete(e.accepted, conn)
 		e.amu.Unlock()
+		if w != nil {
+			// A connection that ends under traffic may take frames
+			// with it that the peer had not read, and TCP cannot say
+			// how many: count one, so the next Send reports the loss.
+			var lost uint64
+			if w.wrote.Load() && !e.closed() {
+				lost = 1
+			}
+			e.failWriter(tc, w, lost)
+		}
 	}()
 	rb := buf.GetSize(readChunk)
 	defer func() { rb.Release() }()
@@ -258,17 +422,31 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 			end += n
 			for end-start >= 4 {
 				fn := binary.BigEndian.Uint32(rb.B[start:])
-				if fn == 0 || fn > maxFrame {
+				if fn == 0 || fn > maxFrame || (needHello && fn != helloLen) {
+					e.cRejected.Inc()
 					return
 				}
 				total := 4 + int(fn)
 				if end-start < total {
 					break
 				}
-				if h := e.handler.Load(); h != nil {
-					(*h)(rb, rb.B[start+4:start+total], false)
-				}
+				p := rb.B[start+4 : start+total]
 				start += total
+				if needHello {
+					needHello = false
+					peer, ok := helloPeer(p, conn.RemoteAddr())
+					if !ok {
+						e.cRejected.Inc()
+						return
+					}
+					if peer.Type != oa.TypeNil {
+						tc, w = e.adopt(peer, conn)
+					}
+					continue
+				}
+				if h := e.handler.Load(); h != nil {
+					(*h)(rb, p, false)
+				}
 			}
 		}
 		if err != nil {
@@ -307,10 +485,8 @@ func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	if len(b.B) > maxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b.B))
 	}
-	select {
-	case <-e.done:
+	if e.closed() {
 		return ErrClosed
-	default:
 	}
 	tc := e.connFor(to)
 	if n := tc.dropped.Swap(0); n > 0 {
@@ -331,14 +507,14 @@ func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	// the ones it must follow.
 	if w.wmu.TryLock() {
 		if len(w.ch) == 0 {
-			err := w.writeOne(b)
+			err := w.write(b)
 			w.wmu.Unlock()
 			if err != nil {
 				// The socket died under us mid-frame; the stream may be
 				// truncated, so this connection is done. The loss is
 				// counted and reported to THIS send directly.
 				e.cDropped.Add(1)
-				e.failWriter(tc, w)
+				e.failWriter(tc, w, 0)
 				return fmt.Errorf("%w: %v", ErrUnreachable, err)
 			}
 			e.cSent.Inc()
@@ -369,41 +545,30 @@ func (e *tcpEndpoint) SendBuf(to oa.Element, b *buf.Buffer) error {
 	return nil
 }
 
-// writeOne writes a single length-prefixed frame; the caller holds wmu.
-func (w *tcpWriter) writeOne(b *buf.Buffer) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b.B)))
-	iov := net.Buffers{hdr[:], b.B}
-	_, err := iov.WriteTo(w.conn)
-	return err
-}
-
 // writerFor returns the destination's live writer, dialing a new
-// connection (and starting its writer) if none exists.
+// connection (and starting its writer and read loop) if none exists.
 func (e *tcpEndpoint) writerFor(tc *tcpConn) (*tcpWriter, error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.w != nil {
 		return tc.w, nil
 	}
-	select {
-	case <-e.done:
+	if e.closed() {
 		return nil, ErrClosed // Close has retired, or will skip, this destination
-	default:
 	}
 	e.cDials.Inc()
 	conn, err := net.Dial("tcp", tc.hostport)
 	if err != nil {
 		return nil, err
 	}
-	w := &tcpWriter{
-		conn: conn,
-		ch:   make(chan *buf.Buffer, sendQueueDepth),
-		wake: make(chan struct{}, 1),
-		dead: make(chan struct{}),
+	if _, err := conn.Write(e.hello(conn)); err != nil {
+		conn.Close()
+		return nil, err
 	}
+	w := newTCPWriter(conn)
 	tc.w = w
 	go e.writeLoop(tc, w)
+	go e.readLoop(conn, tc, w)
 	return w, nil
 }
 
@@ -414,16 +579,14 @@ func (e *tcpEndpoint) writerFor(tc *tcpConn) (*tcpWriter, error) {
 // adaptive — a lone frame goes out immediately; a busy queue means one
 // syscall carries many frames. A write error retires the connection.
 func (e *tcpEndpoint) writeLoop(tc *tcpConn, w *tcpWriter) {
-	var hdrs [writerBatch][4]byte
 	batch := make([]*buf.Buffer, 0, writerBatch)
-	iov := make(net.Buffers, 0, 2*writerBatch)
 	for {
 		select {
 		case <-w.wake:
 		case <-w.dead:
 			// A failed direct write or Close retired this connection;
 			// drain what is still queued so the loss is counted.
-			e.failWriter(tc, w)
+			e.failWriter(tc, w, 0)
 			return
 		}
 		for {
@@ -442,13 +605,7 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn, w *tcpWriter) {
 				w.wmu.Unlock()
 				break
 			}
-			iov = iov[:0]
-			for i, b := range batch {
-				binary.BigEndian.PutUint32(hdrs[i][:], uint32(len(b.B)))
-				iov = append(iov, hdrs[i][:], b.B)
-			}
-			v := iov // WriteTo consumes its receiver; keep iov's backing array
-			_, err := v.WriteTo(w.conn)
+			err := w.write(batch...)
 			w.wmu.Unlock()
 			for _, b := range batch {
 				b.Release()
@@ -459,7 +616,7 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn, w *tcpWriter) {
 				// gives no delivery receipt, and an undercounted loss is
 				// a silent one.
 				e.noteDropped(tc, uint64(len(batch)))
-				e.failWriter(tc, w)
+				e.failWriter(tc, w, 0)
 				return
 			}
 		}
@@ -471,10 +628,13 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn, w *tcpWriter) {
 // drains queued frames. The drained frames cannot be delivered, but
 // the loss is NOT silent: each is counted in net/tcp_dropped and
 // reported to the destination's next Send as an error, so callers
-// learn the channel lost traffic.
-func (e *tcpEndpoint) failWriter(tc *tcpConn, w *tcpWriter) {
+// learn the channel lost traffic. lost more frames are counted if this
+// call is the one that unhooks w; they are counted before the unhook
+// is seen, so a Send that finds no writer also finds the loss.
+func (e *tcpEndpoint) failWriter(tc *tcpConn, w *tcpWriter, lost uint64) {
 	tc.mu.Lock()
 	if tc.w == w {
+		e.noteDropped(tc, lost)
 		tc.w = nil
 	}
 	tc.mu.Unlock()
@@ -521,7 +681,7 @@ func (e *tcpEndpoint) Close() error {
 			w := tc.w
 			tc.mu.Unlock()
 			if w != nil {
-				e.failWriter(tc, w)
+				e.failWriter(tc, w, 0)
 			}
 			return true
 		})

@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
+	"errors"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -234,19 +238,156 @@ func TestTCPBidirectionalAndReuse(t *testing.T) {
 		if err := a.Send(b.Element(), []byte("ping")); err != nil {
 			t.Fatal(err)
 		}
+		colB.wait(t, 1)
 		if err := b.Send(a.Element(), []byte("pong")); err != nil {
 			t.Fatal(err)
 		}
+		colA.wait(t, 1)
 	}
-	colB.wait(t, 20)
-	colA.wait(t, 20)
-	// Counted like the fabric's net/sent; one connection per direction,
-	// reused for every frame after the first.
+	// Counted like the fabric's net/sent. a's hello made the connection
+	// it dialed b's send path back to a, so request/response traffic
+	// between the two dials once.
 	if got := reg.Counter("net/sent").Value(); got != 40 {
 		t.Errorf("net/sent = %d, want 40", got)
 	}
-	if got := reg.Counter("net/tcp_dials").Value(); got != 2 {
-		t.Errorf("net/tcp_dials = %d, want 2", got)
+	if got := reg.Counter("net/tcp_dials").Value(); got != 1 {
+		t.Errorf("net/tcp_dials = %d, want 1", got)
+	}
+}
+
+// TestTCPBothSendFirst has two endpoints send to each other before
+// either has read a frame, so both may dial. Each keeps its own
+// connection then; every frame must still arrive, in order.
+func TestTCPBothSendFirst(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tr := &TCP{Registry: reg}
+	a, _ := tr.NewEndpoint()
+	defer a.Close()
+	b, _ := tr.NewEndpoint()
+	defer b.Close()
+	const per = 200
+	colA, colB := newCollector(), newCollector()
+	a.SetHandler(colA.handler)
+	b.SetHandler(colB.handler)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, p := range [][2]Endpoint{{a, b}, {b, a}} {
+		wg.Add(1)
+		go func(from, to Endpoint) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < per; i++ {
+				if err := from.Send(to.Element(), []byte{byte(i >> 8), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p[0], p[1])
+	}
+	close(start)
+	wg.Wait()
+	for name, col := range map[string]*collector{"a": colA, "b": colB} {
+		for i, m := range col.wait(t, per) {
+			if got := int(m[0])<<8 | int(m[1]); got != i {
+				t.Fatalf("%s: frame %d carries %d", name, i, got)
+			}
+		}
+	}
+	if got := reg.Counter("net/tcp_dials").Value(); got > 2 {
+		t.Errorf("net/tcp_dials = %d, want <= 2", got)
+	}
+}
+
+// TestTCPRejectsBadFirstFrames dials an endpoint with raw sockets. A
+// connection must open with a valid hello and carry no zero-length
+// frame; otherwise it is closed, nothing on it is delivered, and
+// net/tcp_rejected counts it.
+func TestTCPRejectsBadFirstFrames(t *testing.T) {
+	frame := func(p []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...)
+	}
+	local, _ := oa.IPElement(net.IPv4(127, 0, 0, 1), 4242, 0)
+	other, _ := oa.IPElement(net.IPv4(10, 9, 8, 7), 4242, 0)
+	badMagic := appendHello(nil, local)
+	badMagic[4] ^= 0xff
+	for _, tc := range []struct {
+		name string
+		in   []byte
+	}{
+		{"no hello", frame([]byte("data"))},
+		{"bad magic", badMagic},
+		{"not an IP element", appendHello(nil, oa.MemElement(7))},
+		{"claimed IP differs", appendHello(nil, other)},
+		{"zero-length frame", append(appendHello(nil, local), 0, 0, 0, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			ep, err := (&TCP{Registry: reg}).NewEndpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ep.Close()
+			col := newCollector()
+			ep.SetHandler(col.handler)
+			hp, _ := oa.IPHostPort(ep.Element())
+			conn, err := net.Dial("tcp", hp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// A frame behind the bad input must not be delivered either.
+			if _, err := conn.Write(append(tc.in, frame([]byte("after"))...)); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection not closed: read %d bytes, err %v", n, err)
+			}
+			if got := reg.Counter("net/tcp_rejected").Value(); got != 1 {
+				t.Errorf("net/tcp_rejected = %d, want 1", got)
+			}
+			select {
+			case <-col.ch:
+				t.Errorf("delivered %q", col.msgs[0])
+			default:
+			}
+		})
+	}
+}
+
+// TestTCPUnspecifiedHelloReceiveOnly checks that a hello naming the
+// unspecified IP (a dialer that cannot vouch for its element) is
+// accepted but binds nothing: frames are delivered, and a send back
+// to that element does not use the connection.
+func TestTCPUnspecifiedHelloReceiveOnly(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ep, err := (&TCP{Registry: reg}).NewEndpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	col := newCollector()
+	ep.SetHandler(col.handler)
+	hp, _ := oa.IPHostPort(ep.Element())
+	conn, err := net.Dial("tcp", hp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	port := uint16(conn.LocalAddr().(*net.TCPAddr).Port)
+	anon, _ := oa.IPElement(net.IPv4zero, port, 0)
+	msg := binary.BigEndian.AppendUint32(appendHello(nil, anon), 4)
+	if _, err := conn.Write(append(msg, "data"...)); err != nil {
+		t.Fatal(err)
+	}
+	if got := col.wait(t, 1); string(got[0]) != "data" {
+		t.Errorf("got %q", got[0])
+	}
+	if got := reg.Counter("net/tcp_rejected").Value(); got != 0 {
+		t.Errorf("net/tcp_rejected = %d, want 0", got)
+	}
+	if err := ep.Send(anon, []byte("x")); err == nil {
+		t.Error("send to the unspecified element went out on the receive-only connection")
 	}
 }
 
